@@ -93,12 +93,12 @@ impl<'a> BuExpand<'a> {
     }
 }
 
-impl Expand for BuExpand<'_> {
-    fn root(&self) -> Tree {
+impl<'a> Expand<'a> for BuExpand<'a> {
+    fn root(&self) -> Tree<'a> {
         Tree::Hole(self.grammar.pcfg.start())
     }
 
-    fn skip(&self, _tree: &Tree) -> bool {
+    fn skip(&self, _tree: &Tree<'a>) -> bool {
         false
     }
 
@@ -108,7 +108,7 @@ impl Expand for BuExpand<'_> {
     // validated, which is why the bottom-up variant leans entirely on
     // dimension prediction. Without a prediction (full grammar) every
     // strippable prefix is validated instead.
-    fn candidate(&self, tree: &Tree) -> Option<TacoProgram> {
+    fn candidate(&self, tree: &Tree<'a>) -> Option<TacoProgram> {
         let facts = tree_facts(tree, self.grammar.nts.op, &self.grammar.nts.tails);
         let ready = match self.predicted_rhs {
             Some(n) => facts.rhs_operand_slots >= n,
@@ -121,7 +121,7 @@ impl Expand for BuExpand<'_> {
     }
 
     // Line 12: expand the leftmost nonterminal.
-    fn children(&self, tree: &Tree, cost: f64) -> Vec<Child> {
+    fn children(&self, tree: &Tree<'a>, cost: f64) -> Vec<Child<'a>> {
         if tree.is_complete() {
             return Vec::new();
         }

@@ -6,23 +6,28 @@
 //! whose leaves are either terminals or nonterminal holes. Expanding the
 //! leftmost hole with each applicable rule realises line 12 of
 //! Algorithms 1 and 2.
+//!
+//! Terminal leaves borrow their token from the grammar's rules, so a
+//! tree costs one allocation per branch and none per tensor access: a
+//! search pushes hundreds of thousands of trees, and the checker only
+//! ever needs a [`TacoProgram`] for the few it pops complete.
 
 use gtl_grammar::{NtId, Pcfg, RuleId, Sym, TemplateTok};
 use gtl_taco::{Access, BinOp, Expr, TacoProgram};
 use gtl_template::build_chain_expr;
 
-/// A node of a partial derivation tree.
+/// A node of a partial derivation tree over a grammar that outlives it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tree {
+pub enum Tree<'g> {
     /// An unexpanded nonterminal.
     Hole(NtId),
-    /// A terminal leaf.
-    Term(TemplateTok),
+    /// A terminal leaf, borrowed from the rule that placed it.
+    Term(&'g TemplateTok),
     /// The children produced by applying a multi-symbol rule.
-    Branch(Vec<Tree>),
+    Branch(Vec<Tree<'g>>),
 }
 
-impl Tree {
+impl<'g> Tree<'g> {
     /// Whether the tree contains no holes.
     pub fn is_complete(&self) -> bool {
         match self {
@@ -60,9 +65,18 @@ impl Tree {
         }
     }
 
+    /// Sums `cost[n]` over the holes, left to right, onto `acc`.
+    fn fold_hole_costs(&self, cost: &[f64], acc: f64) -> f64 {
+        match self {
+            Tree::Hole(n) => acc + cost[n.index()],
+            Tree::Term(_) => acc,
+            Tree::Branch(cs) => cs.iter().fold(acc, |acc, c| c.fold_hole_costs(cost, acc)),
+        }
+    }
+
     /// Replaces the leftmost hole with the RHS of `rule`, returning the
     /// new tree. Returns `None` if there is no hole.
-    pub fn expand_leftmost(&self, rule_rhs: &[Sym]) -> Option<Tree> {
+    pub fn expand_leftmost(&self, rule_rhs: &'g [Sym]) -> Option<Tree<'g>> {
         let mut done = false;
         let out = self.expand_inner(rule_rhs, &mut done);
         if done {
@@ -72,7 +86,7 @@ impl Tree {
         }
     }
 
-    fn expand_inner(&self, rhs: &[Sym], done: &mut bool) -> Tree {
+    fn expand_inner(&self, rhs: &'g [Sym], done: &mut bool) -> Tree<'g> {
         if *done {
             return self.clone();
         }
@@ -81,7 +95,7 @@ impl Tree {
                 *done = true;
                 subtree_of_rhs(rhs)
             }
-            Tree::Term(t) => Tree::Term(t.clone()),
+            Tree::Term(t) => Tree::Term(t),
             Tree::Branch(cs) => {
                 Tree::Branch(cs.iter().map(|c| c.expand_inner(rhs, done)).collect())
             }
@@ -111,17 +125,17 @@ impl Tree {
 /// trees the middle slot of `EXPR OP EXPR` is either an expanded operator
 /// or a still-open `OP` hole; the program root's middle slot is `=` and is
 /// therefore excluded.
-fn is_op_slot(t: &Tree) -> bool {
+fn is_op_slot(t: &Tree<'_>) -> bool {
     matches!(t, Tree::Term(TemplateTok::Op(_)) | Tree::Hole(_))
 }
 
 /// Builds the subtree for a rule right-hand side.
-fn subtree_of_rhs(rhs: &[Sym]) -> Tree {
-    let nodes: Vec<Tree> = rhs
+fn subtree_of_rhs(rhs: &[Sym]) -> Tree<'_> {
+    let nodes: Vec<Tree<'_>> = rhs
         .iter()
         .map(|s| match s {
             Sym::Nt(n) => Tree::Hole(*n),
-            Sym::T(t) => Tree::Term(t.clone()),
+            Sym::T(t) => Tree::Term(t),
         })
         .collect();
     if nodes.len() == 1 {
@@ -134,9 +148,9 @@ fn subtree_of_rhs(rhs: &[Sym]) -> Tree {
 /// Surface facts about a (possibly partial) tree, consumed by the
 /// penalty functions.
 #[derive(Debug, Clone, Default)]
-pub struct TreeFacts {
+pub struct TreeFacts<'g> {
     /// Tensor accesses placed so far, in order (LHS first).
-    pub accesses: Vec<Access>,
+    pub accesses: Vec<&'g Access>,
     /// Whether a `Const` terminal is present.
     pub has_const: bool,
     /// Operators placed so far, in order.
@@ -156,7 +170,7 @@ pub struct TreeFacts {
 /// (its holes count as potential operators, not operands); `tails` are
 /// the bottom-up `TAIL` nonterminals, whose holes may collapse to ε and
 /// therefore promise nothing.
-pub fn tree_facts(tree: &Tree, op_nt: NtId, tails: &[NtId]) -> TreeFacts {
+pub fn tree_facts<'g>(tree: &Tree<'g>, op_nt: NtId, tails: &[NtId]) -> TreeFacts<'g> {
     let mut f = TreeFacts {
         complete: tree.is_complete(),
         ..TreeFacts::default()
@@ -168,11 +182,11 @@ pub fn tree_facts(tree: &Tree, op_nt: NtId, tails: &[NtId]) -> TreeFacts {
     f
 }
 
-fn walk(t: &Tree, op_nt: NtId, tails: &[NtId], seen_eq: &mut bool, f: &mut TreeFacts) {
-    match t {
+fn walk<'g>(t: &Tree<'g>, op_nt: NtId, tails: &[NtId], seen_eq: &mut bool, f: &mut TreeFacts<'g>) {
+    match *t {
         Tree::Term(TemplateTok::Eq) => *seen_eq = true,
         Tree::Term(TemplateTok::Access(a)) => {
-            f.accesses.push(a.clone());
+            f.accesses.push(a);
             if *seen_eq {
                 f.rhs_operand_slots += 1;
             }
@@ -186,13 +200,13 @@ fn walk(t: &Tree, op_nt: NtId, tails: &[NtId], seen_eq: &mut bool, f: &mut TreeF
         Tree::Term(TemplateTok::Op(o)) => f.ops.push(*o),
         Tree::Term(TemplateTok::Epsilon) => {}
         Tree::Hole(n) => {
-            if *n == op_nt {
+            if n == op_nt {
                 f.op_holes += 1;
-            } else if *seen_eq && !tails.contains(n) {
+            } else if *seen_eq && !tails.contains(&n) {
                 f.rhs_operand_slots += 1;
             }
         }
-        Tree::Branch(cs) => {
+        Tree::Branch(ref cs) => {
             for c in cs {
                 walk(c, op_nt, tails, &mut *seen_eq, f);
             }
@@ -215,7 +229,7 @@ impl std::error::Error for MalformedTree {}
 /// Converts a complete *top-down* tree into a TACO template program,
 /// preserving the derivation's AST structure (so `(b + c) * d` and
 /// `b + c * d` stay distinct).
-pub fn td_tree_to_program(tree: &Tree) -> Result<TacoProgram, MalformedTree> {
+pub fn td_tree_to_program(tree: &Tree<'_>) -> Result<TacoProgram, MalformedTree> {
     let Tree::Branch(parts) = tree else {
         return Err(MalformedTree);
     };
@@ -231,7 +245,7 @@ pub fn td_tree_to_program(tree: &Tree) -> Result<TacoProgram, MalformedTree> {
     Ok(TacoProgram::new(lhs, rhs))
 }
 
-fn td_expr(t: &Tree, consts: &mut u32) -> Result<Expr, MalformedTree> {
+fn td_expr(t: &Tree<'_>, consts: &mut u32) -> Result<Expr, MalformedTree> {
     match t {
         Tree::Term(TemplateTok::Access(a)) => Ok(Expr::Access(a.clone())),
         Tree::Term(TemplateTok::ConstSym) => {
@@ -256,7 +270,7 @@ fn td_expr(t: &Tree, consts: &mut u32) -> Result<Expr, MalformedTree> {
 /// stripping an unexpanded trailing `TAIL` hole if present — the paper's
 /// `RemoveTail` (Algorithm 2, line 7). `tails` identifies which
 /// nonterminals are strippable; any other hole aborts the conversion.
-pub fn bu_tree_to_program(tree: &Tree, tails: &[NtId]) -> Option<TacoProgram> {
+pub fn bu_tree_to_program(tree: &Tree<'_>, tails: &[NtId]) -> Option<TacoProgram> {
     let Tree::Branch(parts) = tree else {
         return None;
     };
@@ -280,7 +294,7 @@ pub fn bu_tree_to_program(tree: &Tree, tails: &[NtId]) -> Option<TacoProgram> {
 /// Flattens a BU chain tree. Returns `false` if a non-tail hole remains.
 /// A trailing tail hole (the last position) is silently stripped.
 fn flatten_chain(
-    t: &Tree,
+    t: &Tree<'_>,
     tails: &[NtId],
     leaves: &mut Vec<Expr>,
     ops: &mut Vec<BinOp>,
@@ -335,12 +349,12 @@ impl CostModel {
         self.rule_cost[rule.index()]
     }
 
-    /// The heuristic g(x): sum of `-log2 h(α)` over the holes of `tree`.
-    pub fn remaining_cost(&self, tree: &Tree) -> f64 {
-        tree.holes()
-            .iter()
-            .map(|n| self.heuristic[n.index()])
-            .sum()
+    /// The heuristic g(x): sum of `-log2 h(α)` over the holes of `tree`,
+    /// left to right. Starting from `-0.0`, the neutral element
+    /// `Iterator::sum` uses for floats, keeps the result bit-identical to
+    /// summing the collected [`Tree::holes`].
+    pub fn remaining_cost(&self, tree: &Tree<'_>) -> f64 {
+        tree.fold_hole_costs(&self.heuristic, -0.0)
     }
 }
 
@@ -374,16 +388,41 @@ mod tests {
     }
 
     #[test]
+    fn remaining_cost_is_bitwise_the_collected_sum() {
+        let mut g = Pcfg::new();
+        let nts: Vec<NtId> = ["X", "Y", "Z"].map(|n| g.add_nonterminal(n)).to_vec();
+        // 0.1 + 0.2 + 0.3 rounds differently in each association order.
+        let costs = CostModel {
+            rule_cost: Vec::new(),
+            heuristic: vec![0.1, 0.2, 0.3],
+        };
+        let collected =
+            |t: &Tree<'_>| -> f64 { t.holes().iter().map(|n| costs.heuristic[n.index()]).sum() };
+        let tree = Tree::Branch(vec![
+            Tree::Hole(nts[0]),
+            Tree::Branch(vec![
+                Tree::Hole(nts[1]),
+                Tree::Term(&TemplateTok::Eq),
+                Tree::Hole(nts[2]),
+            ]),
+        ]);
+        let complete = Tree::Term(&TemplateTok::Eq);
+        for t in [&tree, &complete] {
+            assert_eq!(costs.remaining_cost(t).to_bits(), collected(t).to_bits());
+        }
+    }
+
+    #[test]
     fn complete_td_tree_roundtrip() {
         let (a, b, c) = toks();
         // a(i) = b(i,j) * c(j)
         let tree = Tree::Branch(vec![
-            Tree::Term(a),
-            Tree::Term(TemplateTok::Eq),
+            Tree::Term(&a),
+            Tree::Term(&TemplateTok::Eq),
             Tree::Branch(vec![
-                Tree::Term(b),
-                Tree::Term(TemplateTok::Op(BinOp::Mul)),
-                Tree::Term(c),
+                Tree::Term(&b),
+                Tree::Term(&TemplateTok::Op(BinOp::Mul)),
+                Tree::Term(&c),
             ]),
         ]);
         assert!(tree.is_complete());
@@ -394,13 +433,11 @@ mod tests {
     #[test]
     fn depth_counts_binary_nesting() {
         let (a, b, c) = toks();
-        let leaf = |t: &TemplateTok| Tree::Term(t.clone());
-        let mul = |l, r| {
-            Tree::Branch(vec![l, Tree::Term(TemplateTok::Op(BinOp::Mul)), r])
-        };
+        let leaf = |t| Tree::Term(t);
+        let mul = |l, r| Tree::Branch(vec![l, Tree::Term(&TemplateTok::Op(BinOp::Mul)), r]);
         let t = Tree::Branch(vec![
             leaf(&a),
-            Tree::Term(TemplateTok::Eq),
+            Tree::Term(&TemplateTok::Eq),
             mul(mul(leaf(&b), leaf(&c)), leaf(&b)),
         ]);
         assert_eq!(t.expr_depth(), 3);
@@ -412,12 +449,12 @@ mod tests {
         let mut g = Pcfg::new();
         let op = g.add_nonterminal("OP");
         let tree = Tree::Branch(vec![
-            Tree::Term(a),
-            Tree::Term(TemplateTok::Eq),
+            Tree::Term(&a),
+            Tree::Term(&TemplateTok::Eq),
             Tree::Branch(vec![
-                Tree::Term(b),
-                Tree::Term(TemplateTok::Op(BinOp::Mul)),
-                Tree::Term(c),
+                Tree::Term(&b),
+                Tree::Term(&TemplateTok::Op(BinOp::Mul)),
+                Tree::Term(&c),
             ]),
         ]);
         let f = tree_facts(&tree, op, &[]);
@@ -434,13 +471,13 @@ mod tests {
         let tail = g.add_nonterminal("TAIL2");
         // a(i) = b(i,j) [chain: * c(j), TAIL2-hole]
         let tree = Tree::Branch(vec![
-            Tree::Term(a),
-            Tree::Term(TemplateTok::Eq),
+            Tree::Term(&a),
+            Tree::Term(&TemplateTok::Eq),
             Tree::Branch(vec![
-                Tree::Term(b),
+                Tree::Term(&b),
                 Tree::Branch(vec![
-                    Tree::Term(TemplateTok::Op(BinOp::Mul)),
-                    Tree::Term(c),
+                    Tree::Term(&TemplateTok::Op(BinOp::Mul)),
+                    Tree::Term(&c),
                     Tree::Hole(tail),
                 ]),
             ]),
@@ -454,17 +491,17 @@ mod tests {
         let (a, b, c) = toks();
         // a(i) = b + c * b  → Add(b, Mul(c, b))
         let tree = Tree::Branch(vec![
-            Tree::Term(a),
-            Tree::Term(TemplateTok::Eq),
+            Tree::Term(&a),
+            Tree::Term(&TemplateTok::Eq),
             Tree::Branch(vec![
-                Tree::Term(b.clone()),
+                Tree::Term(&b),
                 Tree::Branch(vec![
-                    Tree::Term(TemplateTok::Op(BinOp::Add)),
-                    Tree::Term(c),
+                    Tree::Term(&TemplateTok::Op(BinOp::Add)),
+                    Tree::Term(&c),
                     Tree::Branch(vec![
-                        Tree::Term(TemplateTok::Op(BinOp::Mul)),
-                        Tree::Term(b),
-                        Tree::Term(TemplateTok::Epsilon),
+                        Tree::Term(&TemplateTok::Op(BinOp::Mul)),
+                        Tree::Term(&b),
+                        Tree::Term(&TemplateTok::Epsilon),
                     ]),
                 ]),
             ]),
@@ -483,13 +520,13 @@ mod tests {
         let mut g = Pcfg::new();
         let opnt = g.add_nonterminal("OP");
         let tree = Tree::Branch(vec![
-            Tree::Term(a),
-            Tree::Term(TemplateTok::Eq),
+            Tree::Term(&a),
+            Tree::Term(&TemplateTok::Eq),
             Tree::Branch(vec![
-                Tree::Term(b.clone()),
+                Tree::Term(&b),
                 Tree::Branch(vec![
                     Tree::Hole(opnt), // unexpanded operator: not strippable
-                    Tree::Term(b),
+                    Tree::Term(&b),
                 ]),
             ]),
         ]);

@@ -169,17 +169,17 @@ pub fn fingerprint_program(program: &TacoProgram) -> u64 {
 /// A purely syntactic fingerprint, used to tell "this exact template
 /// was generated twice" apart from "a distinct spelling of an
 /// already-seen equivalence class" when counting prunes. Hashes the
-/// `Debug` form: the printed form is ambiguous (`(x*y)/z` and `x*(y/z)`
-/// display identically).
+/// AST, not the printed form, which is ambiguous (`(x*y)/z` and
+/// `x*(y/z)` display identically).
 fn syntactic_fingerprint(program: &TacoProgram) -> u64 {
     let mut h = DefaultHasher::new();
-    format!("{program:?}").hash(&mut h);
+    program.hash(&mut h);
     h.finish()
 }
 
-/// Shared state of one parallel run.
-struct Shared {
-    queue: Mutex<BinaryHeap<QEntry>>,
+/// Shared state of one parallel run over trees borrowing from `'g`.
+struct Shared<'g> {
+    queue: Mutex<BinaryHeap<QEntry<'g>>>,
     /// Monotone tie-break sequence for frontier pushes.
     seq: AtomicU64,
     /// Nodes currently being expanded (termination detection: the space
@@ -204,7 +204,7 @@ struct Shared {
     pruned_equivalent: AtomicU64,
 }
 
-impl Shared {
+impl Shared<'_> {
     fn over_budget(&self, started: Instant, budget: &SearchBudget) -> bool {
         self.progress.nodes() >= budget.max_nodes
             || self.progress.attempts() >= budget.max_attempts
@@ -214,7 +214,7 @@ impl Shared {
 
 /// Runs the worker pool over an expander. Generic (not `dyn`) because
 /// workers on different threads need `E: Sync`.
-fn run_parallel<E, C, F>(
+fn run_parallel<'g, E, C, F>(
     exp: &E,
     budget: SearchBudget,
     opts: ParallelOptions,
@@ -222,7 +222,7 @@ fn run_parallel<E, C, F>(
     make_checker: &F,
 ) -> SearchOutcome
 where
-    E: Expand + Sync,
+    E: Expand<'g> + Sync,
     C: TemplateChecker,
     F: Fn(usize) -> C + Sync,
 {
@@ -284,12 +284,18 @@ where
         Some((t, c)) => (Some(t), Some(c)),
         None => (None, None),
     };
+    let attempts = shared.progress.attempts();
+    let pruned_equivalent = shared.pruned_equivalent.load(Ordering::Relaxed);
+    let nodes_expanded = shared.progress.nodes();
+    // Freeing the frontier and seen-sets is search work: do it before
+    // the clock stops, as the sequential engine does.
+    drop(shared);
     SearchOutcome {
         solution: concrete,
         template,
-        attempts: shared.progress.attempts(),
-        pruned_equivalent: shared.pruned_equivalent.load(Ordering::Relaxed),
-        nodes_expanded: shared.progress.nodes(),
+        attempts,
+        pruned_equivalent,
+        nodes_expanded,
         elapsed: started.elapsed(),
         stop,
     }
@@ -297,9 +303,9 @@ where
 
 /// Decrements `in_flight` when dropped — including during unwinding, so
 /// a panicking worker cannot strand the termination count.
-struct FlightGuard<'a>(&'a Shared);
+struct FlightGuard<'a, 'g>(&'a Shared<'g>);
 
-impl Drop for FlightGuard<'_> {
+impl Drop for FlightGuard<'_, '_> {
     fn drop(&mut self) {
         self.0.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
@@ -308,9 +314,9 @@ impl Drop for FlightGuard<'_> {
 /// Raises the cancellation flag if the worker unwinds, so sibling
 /// workers stop instead of spinning forever on a frontier that will
 /// never drain (`std::thread::scope` then propagates the panic).
-struct PanicGuard<'a>(&'a Shared);
+struct PanicGuard<'a, 'g>(&'a Shared<'g>);
 
-impl Drop for PanicGuard<'_> {
+impl Drop for PanicGuard<'_, '_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.0.cancel.cancel();
@@ -322,12 +328,12 @@ impl Drop for PanicGuard<'_> {
 /// counted in `in_flight`; whatever is still unprocessed when the
 /// worker exits (cancellation, budget, panic) is decremented on drop so
 /// termination detection never strands.
-struct Batch<'a> {
-    shared: &'a Shared,
-    entries: std::collections::VecDeque<QEntry>,
+struct Batch<'a, 'g> {
+    shared: &'a Shared<'g>,
+    entries: std::collections::VecDeque<QEntry<'g>>,
 }
 
-impl Drop for Batch<'_> {
+impl Drop for Batch<'_, '_> {
     fn drop(&mut self) {
         if !self.entries.is_empty() {
             self.shared
@@ -337,9 +343,9 @@ impl Drop for Batch<'_> {
     }
 }
 
-fn worker_loop<E: Expand>(
+fn worker_loop<'g, E: Expand<'g>>(
     exp: &E,
-    shared: &Shared,
+    shared: &Shared<'g>,
     started: Instant,
     budget: &SearchBudget,
     pop_batch: usize,

@@ -13,9 +13,10 @@
 //!   substantial learned weight ([`gtl_template::TemplateGrammar::live_ops`]);
 //!   templates with no operator at all are exempt.
 
-use gtl_taco::{BinOp, Expr, TacoProgram};
+use gtl_grammar::TemplateTok;
+use gtl_taco::BinOp;
 
-use crate::node::TreeFacts;
+use crate::node::{MalformedTree, Tree, TreeFacts};
 
 /// Which penalty rules are active — the knobs behind Table 2's
 /// `Drop(a1)…Drop(b2)` ablations.
@@ -122,7 +123,7 @@ impl PenaltyContext {
 
 /// Does the sequence of distinct tensor symbols, in order of first
 /// appearance, follow the alphabet `a, b, c…`? (a3 / b1.)
-fn alphabetical_by_first_appearance(facts: &TreeFacts) -> bool {
+fn alphabetical_by_first_appearance(facts: &TreeFacts<'_>) -> bool {
     let mut seen: Vec<&str> = Vec::new();
     for acc in &facts.accesses {
         let name = acc.tensor.as_str();
@@ -137,7 +138,7 @@ fn alphabetical_by_first_appearance(facts: &TreeFacts) -> bool {
 
 /// a1: grammar has constants, expression is long, but the template lacks
 /// index variety or a constant (weight 10).
-fn a1_violated(facts: &TreeFacts, ctx: &PenaltyContext) -> bool {
+fn a1_violated(facts: &TreeFacts<'_>, ctx: &PenaltyContext) -> bool {
     if !ctx.grammar_has_const {
         return false;
     }
@@ -154,28 +155,74 @@ fn a1_violated(facts: &TreeFacts, ctx: &PenaltyContext) -> bool {
     tensors_with_i < 2 || !facts.has_const
 }
 
-/// a4: a complete template applying `+`, `-` or `/` to two structurally
-/// identical operands (∞).
-fn a4_violated(program: &TacoProgram) -> bool {
-    fn scan(e: &Expr) -> bool {
-        match e {
-            Expr::Binary { op, lhs, rhs } => {
-                let same = lhs == rhs;
-                let bad_op = matches!(op, BinOp::Add | BinOp::Sub | BinOp::Div);
-                (same && bad_op) || scan(lhs) || scan(rhs)
+/// a4: a complete top-down template applying `+`, `-` or `/` to two
+/// structurally identical operands (∞).
+///
+/// Judged on the derivation tree itself, with exactly the verdict the
+/// converted program would get ([`crate::node::td_tree_to_program`]):
+/// `Err` where conversion fails, and operands compared as the ASTs they
+/// convert to. A `Const` leaf never equals another, because conversion
+/// numbers every `Const` occurrence with a fresh id.
+fn a4_violated(tree: &Tree<'_>) -> Result<bool, MalformedTree> {
+    match tree {
+        Tree::Branch(parts) => match parts.as_slice() {
+            [Tree::Term(TemplateTok::Access(_)), Tree::Term(TemplateTok::Eq), rhs] => {
+                self_operation(rhs)
             }
-            Expr::Neg(inner) => scan(inner),
-            Expr::Access(_) | Expr::Const(_) | Expr::ConstSym(_) => false,
+            _ => Err(MalformedTree),
+        },
+        _ => Err(MalformedTree),
+    }
+}
+
+/// Whether a well-formed expression subtree contains a bad-operator node
+/// over equal operands; `Err` where the subtree is not an expression.
+fn self_operation(t: &Tree<'_>) -> Result<bool, MalformedTree> {
+    match t {
+        Tree::Term(TemplateTok::Access(_) | TemplateTok::ConstSym) => Ok(false),
+        Tree::Branch(cs) => match cs.as_slice() {
+            [l, Tree::Term(TemplateTok::Op(op)), r] => {
+                // Both sides are checked for well-formedness before any
+                // verdict, as conversion would.
+                let inner = self_operation(l)? | self_operation(r)?;
+                let bad_op = matches!(op, BinOp::Add | BinOp::Sub | BinOp::Div);
+                Ok(inner || (bad_op && same_operand(l, r)))
+            }
+            [single] => self_operation(single),
+            _ => Err(MalformedTree),
+        },
+        _ => Err(MalformedTree),
+    }
+}
+
+/// Equality of two well-formed expression subtrees as converted ASTs:
+/// single-child branches are transparent and `Const` leaves are unequal.
+fn same_operand(a: &Tree<'_>, b: &Tree<'_>) -> bool {
+    match (transparent(a), transparent(b)) {
+        (Tree::Term(x), Tree::Term(y)) => x == y && **x != TemplateTok::ConstSym,
+        (Tree::Branch(xs), Tree::Branch(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_operand(x, y))
+        }
+        _ => false,
+    }
+}
+
+/// Looks through single-child branches, which conversion erases.
+fn transparent<'t, 'g>(mut t: &'t Tree<'g>) -> &'t Tree<'g> {
+    while let Tree::Branch(cs) = t {
+        match cs.as_slice() {
+            [single] => t = single,
+            _ => break,
         }
     }
-    scan(&program.rhs)
+    t
 }
 
 /// Operator-coverage check shared by a5 and b2: a template with at least
 /// one operator position must be able to use at least `min_ops` distinct
 /// live operators. Unexpanded operator holes count as potential distinct
 /// operators so partial trees are not pruned prematurely.
-fn op_coverage_violated(facts: &TreeFacts, ctx: &PenaltyContext) -> bool {
+fn op_coverage_violated(facts: &TreeFacts<'_>, ctx: &PenaltyContext) -> bool {
     if facts.ops.is_empty() && facts.op_holes == 0 {
         return false;
     }
@@ -189,12 +236,10 @@ fn op_coverage_violated(facts: &TreeFacts, ctx: &PenaltyContext) -> bool {
 }
 
 /// The top-down penalty X(x) over (partial or complete) templates
-/// (§5.1). `program` is the converted template when complete.
-pub fn td_penalty(
-    facts: &TreeFacts,
-    program: Option<&TacoProgram>,
-    ctx: &PenaltyContext,
-) -> f64 {
+/// (§5.1). `facts` are [`crate::node::tree_facts`] of `tree`; the
+/// whole-template rules a4 and a5 judge `tree` once it is complete and
+/// encodes a program.
+pub fn td_penalty(facts: &TreeFacts<'_>, tree: &Tree<'_>, ctx: &PenaltyContext) -> f64 {
     let s = &ctx.settings;
     let mut x = 0.0f64;
     if s.a1 && a1_violated(facts, ctx) {
@@ -216,19 +261,21 @@ pub fn td_penalty(
     if s.a3 && !alphabetical_by_first_appearance(facts) {
         return f64::INFINITY;
     }
-    if let Some(p) = program {
-        if s.a4 && a4_violated(p) {
-            return f64::INFINITY;
-        }
-        if s.a5 && op_coverage_violated(facts, ctx) {
-            return f64::INFINITY;
+    if facts.complete {
+        if let Ok(self_op) = a4_violated(tree) {
+            if s.a4 && self_op {
+                return f64::INFINITY;
+            }
+            if s.a5 && op_coverage_violated(facts, ctx) {
+                return f64::INFINITY;
+            }
         }
     }
     x
 }
 
 /// The bottom-up penalty X(x) (§5.2).
-pub fn bu_penalty(facts: &TreeFacts, ctx: &PenaltyContext) -> f64 {
+pub fn bu_penalty(facts: &TreeFacts<'_>, ctx: &PenaltyContext) -> f64 {
     let s = &ctx.settings;
     let mut x = 0.0f64;
     if s.b1 && !alphabetical_by_first_appearance(facts) {
@@ -249,21 +296,70 @@ pub fn bu_penalty(facts: &TreeFacts, ctx: &PenaltyContext) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gtl_taco::{parse_program, Access};
+    use gtl_grammar::{NtId, Pcfg};
+    use gtl_taco::{parse_program, Access, Expr, TacoProgram};
 
-    fn facts_of(src: &str) -> (TreeFacts, TacoProgram) {
-        let p = parse_program(src).unwrap();
-        let mut accesses = vec![p.lhs.clone()];
-        accesses.extend(p.rhs.accesses().into_iter().cloned());
-        let facts = TreeFacts {
-            accesses,
-            has_const: p.rhs.has_const_sym(),
-            ops: p.rhs.operators(),
-            rhs_operand_slots: p.rhs.operands().len(),
-            op_holes: 0,
-            complete: true,
-        };
-        (facts, p)
+    use crate::node::{td_tree_to_program, tree_facts};
+
+    /// A parsed template and the terminals its test tree borrows, in
+    /// derivation order: LHS, `=`, then the RHS left to right.
+    struct Parsed {
+        rhs: Expr,
+        toks: Vec<TemplateTok>,
+    }
+
+    impl Parsed {
+        fn new(src: &str) -> Parsed {
+            fn push(e: &Expr, toks: &mut Vec<TemplateTok>) {
+                match e {
+                    Expr::Access(a) => toks.push(TemplateTok::Access(a.clone())),
+                    Expr::ConstSym(_) => toks.push(TemplateTok::ConstSym),
+                    Expr::Binary { op, lhs, rhs } => {
+                        push(lhs, toks);
+                        toks.push(TemplateTok::Op(*op));
+                        push(rhs, toks);
+                    }
+                    other => panic!("not a template expression: {other:?}"),
+                }
+            }
+            let p = parse_program(src).unwrap();
+            let mut toks = vec![TemplateTok::Access(p.lhs.clone()), TemplateTok::Eq];
+            push(&p.rhs, &mut toks);
+            Parsed { rhs: p.rhs, toks }
+        }
+
+        /// The complete top-down derivation tree of the template.
+        fn tree(&self) -> Tree<'_> {
+            fn build<'g>(e: &Expr, toks: &mut std::slice::Iter<'g, TemplateTok>) -> Tree<'g> {
+                match e {
+                    Expr::Binary { lhs, rhs, .. } => {
+                        let l = build(lhs, toks);
+                        let op = Tree::Term(toks.next().unwrap());
+                        Tree::Branch(vec![l, op, build(rhs, toks)])
+                    }
+                    _ => Tree::Term(toks.next().unwrap()),
+                }
+            }
+            let mut toks = self.toks.iter();
+            let lhs = Tree::Term(toks.next().unwrap());
+            let eq = Tree::Term(toks.next().unwrap());
+            Tree::Branch(vec![lhs, eq, build(&self.rhs, &mut toks)])
+        }
+    }
+
+    fn op_nt() -> NtId {
+        Pcfg::new().add_nonterminal("OP")
+    }
+
+    fn td(src: &str, c: &PenaltyContext) -> f64 {
+        let parsed = Parsed::new(src);
+        let tree = parsed.tree();
+        td_penalty(&tree_facts(&tree, op_nt(), &[]), &tree, c)
+    }
+
+    fn bu(src: &str, c: &PenaltyContext) -> f64 {
+        let parsed = Parsed::new(src);
+        bu_penalty(&tree_facts(&parsed.tree(), op_nt(), &[]), c)
     }
 
     fn ctx(dim_list: Vec<usize>, live: Vec<BinOp>) -> PenaltyContext {
@@ -277,91 +373,86 @@ mod tests {
 
     #[test]
     fn a3_kills_out_of_order_symbols() {
-        let (facts, p) = facts_of("a(i) = c(i) * b(i)");
         let c = ctx(vec![1, 1, 1], vec![BinOp::Mul]);
-        assert!(td_penalty(&facts, Some(&p), &c).is_infinite());
+        assert!(td("a(i) = c(i) * b(i)", &c).is_infinite());
     }
 
     #[test]
     fn a2_penalises_wrong_length() {
-        let (facts, p) = facts_of("a(i) = b(i)");
         let c = ctx(vec![1, 1, 1], vec![BinOp::Mul]);
-        let x = td_penalty(&facts, Some(&p), &c);
+        let x = td("a(i) = b(i)", &c);
         assert!((x - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn a4_kills_self_subtraction() {
-        let (facts, p) = facts_of("a(i) = b(i) - b(i)");
         let c = ctx(vec![1, 1, 1], vec![BinOp::Sub]);
-        assert!(td_penalty(&facts, Some(&p), &c).is_infinite());
+        assert!(td("a(i) = b(i) - b(i)", &c).is_infinite());
         // Self-multiplication is fine (sum of squares).
-        let (f2, p2) = facts_of("a = b(i) * b(i)");
         let c2 = ctx(vec![0, 1, 1], vec![BinOp::Mul]);
-        assert_eq!(td_penalty(&f2, Some(&p2), &c2), 0.0);
+        assert_eq!(td("a = b(i) * b(i)", &c2), 0.0);
     }
 
     #[test]
     fn a5_requires_op_coverage() {
         // Live ops {+, *}: min 1 distinct → * alone passes.
-        let (facts, p) = facts_of("a(i) = b(i,j) * c(j)");
         let c = ctx(vec![1, 2, 1], vec![BinOp::Add, BinOp::Mul]);
-        assert_eq!(td_penalty(&facts, Some(&p), &c), 0.0);
+        assert_eq!(td("a(i) = b(i,j) * c(j)", &c), 0.0);
         // Live ops {+,-,*}: min 2 distinct → * alone fails.
         let c3 = ctx(vec![1, 2, 1], vec![BinOp::Add, BinOp::Sub, BinOp::Mul]);
-        assert!(td_penalty(&facts, Some(&p), &c3).is_infinite());
+        assert!(td("a(i) = b(i,j) * c(j)", &c3).is_infinite());
     }
 
     #[test]
     fn a1_bias_on_long_expressions() {
         // 3 RHS operands (length 4), has const in grammar, no const used,
         // and only one tensor uses i.
-        let (facts, p) = facts_of("a(i) = b(i) + c(j) + d(j)");
+        let src = "a(i) = b(i) + c(j) + d(j)";
         let mut c = ctx(vec![1, 1, 1, 1], vec![BinOp::Add]);
-        let x = td_penalty(&facts, Some(&p), &c);
-        assert!(x >= 10.0);
+        assert!(td(src, &c) >= 10.0);
         // Dropping a1 removes the bias.
         c.settings = c.settings.drop_rule("a1");
-        let x2 = td_penalty(&facts, Some(&p), &c);
-        assert!(x2 < 10.0);
+        assert!(td(src, &c) < 10.0);
     }
 
     #[test]
     fn b1_soft_alphabetical() {
-        let (facts, _) = facts_of("a(i) = c(i) * b(i)");
         let c = ctx(vec![1, 1, 1], vec![BinOp::Mul]);
-        assert_eq!(bu_penalty(&facts, &c), 100.0);
+        assert_eq!(bu("a(i) = c(i) * b(i)", &c), 100.0);
     }
 
     #[test]
     fn b2_fires_at_predicted_size() {
-        let (facts, _) = facts_of("a(i) = b(i) + c(i)");
+        let src = "a(i) = b(i) + c(i)";
         // Live {+,-,*,/}: min 2; only + used and size reached.
         let c = ctx(vec![1, 1, 1], BinOp::ALL.to_vec());
-        assert!(bu_penalty(&facts, &c).is_infinite());
+        assert!(bu(src, &c).is_infinite());
         // Below predicted size: no penalty.
         let c2 = ctx(vec![1, 1, 1, 1], BinOp::ALL.to_vec());
-        assert_eq!(bu_penalty(&facts, &c2), 0.0);
+        assert_eq!(bu(src, &c2), 0.0);
     }
 
     #[test]
     fn partial_a2_only_when_exceeded() {
+        let a = Access::new("a", &["i"]);
         let facts = TreeFacts {
-            accesses: vec![Access::new("a", &["i"])],
+            accesses: vec![&a],
             has_const: false,
             ops: vec![],
             rhs_operand_slots: 1,
             op_holes: 0,
             complete: false,
         };
+        // Partial trees are judged on their facts alone.
+        let tree = Tree::Hole(op_nt());
         let mut c = ctx(vec![1, 1, 1], vec![BinOp::Mul]);
         c.grammar_has_const = false; // isolate a2 from a1
-        assert_eq!(td_penalty(&facts, None, &c), 0.0, "can still grow");
+        assert_eq!(td_penalty(&facts, &tree, &c), 0.0, "can still grow");
         let facts_big = TreeFacts {
             rhs_operand_slots: 4,
             ..facts
         };
-        assert!((td_penalty(&facts_big, None, &c) - 100.0).abs() < 1e-9);
+        assert!((td_penalty(&facts_big, &tree, &c) - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -369,9 +460,138 @@ mod tests {
         let s = PenaltySettings::all().drop_rule("a4");
         assert!(!s.a4);
         assert!(s.a3);
-        let (facts, p) = facts_of("a(i) = b(i) - b(i)");
         let mut c = ctx(vec![1, 1, 1], vec![BinOp::Sub]);
         c.settings = s;
-        assert!(!td_penalty(&facts, Some(&p), &c).is_infinite());
+        assert!(!td("a(i) = b(i) - b(i)", &c).is_infinite());
+    }
+
+    /// The program-level a4 the tree-level check must agree with: scan
+    /// the converted AST for a bad operator over equal operands.
+    fn a4_violated_program(program: &TacoProgram) -> bool {
+        fn scan(e: &Expr) -> bool {
+            match e {
+                Expr::Binary { op, lhs, rhs } => {
+                    let bad_op = matches!(op, BinOp::Add | BinOp::Sub | BinOp::Div);
+                    (bad_op && lhs == rhs) || scan(lhs) || scan(rhs)
+                }
+                Expr::Neg(inner) => scan(inner),
+                Expr::Access(_) | Expr::Const(_) | Expr::ConstSym(_) => false,
+            }
+        }
+        scan(&program.rhs)
+    }
+
+    /// Random well-formed expression trees from a seeded xorshift64*.
+    /// Right operands often copy the left one, at every depth, so equal
+    /// operands, with and without `Const`, are common; some nodes sit
+    /// under a single-child branch.
+    struct Gen {
+        state: u64,
+        /// Copied operands that contain a `Const` leaf.
+        const_copies: usize,
+    }
+
+    impl Gen {
+        fn below(&mut self, n: usize) -> usize {
+            self.state ^= self.state >> 12;
+            self.state ^= self.state << 25;
+            self.state ^= self.state >> 27;
+            (self.state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
+        }
+
+        fn expr<'g>(
+            &mut self,
+            leaves: &'g [TemplateTok],
+            ops: &'g [TemplateTok],
+            depth: usize,
+        ) -> Tree<'g> {
+            let t = if depth == 0 || self.below(4) == 0 {
+                Tree::Term(&leaves[self.below(leaves.len())])
+            } else {
+                let l = self.expr(leaves, ops, depth - 1);
+                let r = if self.below(3) == 0 {
+                    self.const_copies += usize::from(tree_facts(&l, op_nt(), &[]).has_const);
+                    l.clone()
+                } else {
+                    self.expr(leaves, ops, depth - 1)
+                };
+                Tree::Branch(vec![l, Tree::Term(&ops[self.below(ops.len())]), r])
+            };
+            if self.below(8) == 0 {
+                Tree::Branch(vec![t])
+            } else {
+                t
+            }
+        }
+    }
+
+    #[test]
+    fn tree_a4_matches_program_a4_on_random_trees() {
+        let lhs = TemplateTok::Access(Access::new("a", &["i"]));
+        // `b(i)` twice: equal terminals need not share an address.
+        let leaves = [
+            TemplateTok::Access(Access::new("b", &["i"])),
+            TemplateTok::Access(Access::new("b", &["i"])),
+            TemplateTok::Access(Access::new("c", &["i", "j"])),
+            TemplateTok::ConstSym,
+        ];
+        let ops = BinOp::ALL.map(TemplateTok::Op);
+        let mut gen = Gen {
+            state: 0x9e37_79b9_7f4a_7c15,
+            const_copies: 0,
+        };
+        let mut violations = 0;
+        for _ in 0..3_000 {
+            let rhs = gen.expr(&leaves, &ops, 4);
+            let tree = Tree::Branch(vec![Tree::Term(&lhs), Tree::Term(&TemplateTok::Eq), rhs]);
+            let program = td_tree_to_program(&tree).expect("generated trees are well-formed");
+            let want = a4_violated_program(&program);
+            assert_eq!(a4_violated(&tree), Ok(want), "{program}");
+            violations += usize::from(want);
+        }
+        assert!(violations > 100, "only {violations} a4 violations");
+        assert!(
+            gen.const_copies > 100,
+            "only {} copied Const operands",
+            gen.const_copies
+        );
+    }
+
+    #[test]
+    fn tree_a4_rejects_what_conversion_rejects() {
+        let a = TemplateTok::Access(Access::new("a", &["i"]));
+        let b = TemplateTok::Access(Access::new("b", &["i"]));
+        let sub = TemplateTok::Op(BinOp::Sub);
+        let hole = Tree::Hole(op_nt());
+        let malformed = [
+            // No `=` at the root.
+            Tree::Branch(vec![Tree::Term(&a), Tree::Term(&b)]),
+            // An open operand, beside an equal-operand violation.
+            Tree::Branch(vec![
+                Tree::Term(&a),
+                Tree::Term(&TemplateTok::Eq),
+                Tree::Branch(vec![
+                    Tree::Branch(vec![Tree::Term(&b), Tree::Term(&sub), Tree::Term(&b)]),
+                    Tree::Term(&sub),
+                    hole.clone(),
+                ]),
+            ]),
+            // A two-child expression branch.
+            Tree::Branch(vec![
+                Tree::Term(&a),
+                Tree::Term(&TemplateTok::Eq),
+                Tree::Branch(vec![Tree::Term(&b), Tree::Term(&b)]),
+            ]),
+            // An operator where an operand belongs.
+            Tree::Branch(vec![
+                Tree::Term(&a),
+                Tree::Term(&TemplateTok::Eq),
+                Tree::Term(&sub),
+            ]),
+        ];
+        for tree in &malformed {
+            assert!(td_tree_to_program(tree).is_err());
+            assert_eq!(a4_violated(tree), Err(MalformedTree), "{tree:?}");
+        }
     }
 }

@@ -39,18 +39,19 @@ impl<'a> TdExpand<'a> {
     }
 }
 
-impl Expand for TdExpand<'_> {
-    fn root(&self) -> Tree {
+impl<'a> Expand<'a> for TdExpand<'a> {
+    fn root(&self) -> Tree<'a> {
         Tree::Hole(self.grammar.pcfg.start())
     }
 
     // Depth limit (Algorithm 1 line 5).
-    fn skip(&self, tree: &Tree) -> bool {
+    fn skip(&self, tree: &Tree<'a>) -> bool {
         tree.expr_depth() > self.max_depth
     }
 
-    // Lines 7–11: complete trees become checker candidates.
-    fn candidate(&self, tree: &Tree) -> Option<TacoProgram> {
+    // Lines 7–11: complete trees become checker candidates. This is the
+    // only place a top-down tree is converted into a program.
+    fn candidate(&self, tree: &Tree<'a>) -> Option<TacoProgram> {
         if !tree.is_complete() {
             return None;
         }
@@ -58,7 +59,7 @@ impl Expand for TdExpand<'_> {
     }
 
     // Line 12: expand the leftmost nonterminal with every rule.
-    fn children(&self, tree: &Tree, cost: f64) -> Vec<Child> {
+    fn children(&self, tree: &Tree<'a>, cost: f64) -> Vec<Child<'a>> {
         if tree.is_complete() {
             return Vec::new();
         }
@@ -82,12 +83,7 @@ impl Expand for TdExpand<'_> {
                 continue;
             }
             let facts = tree_facts(&child, self.grammar.nts.op, &[]);
-            let program = if facts.complete {
-                td_tree_to_program(&child).ok()
-            } else {
-                None
-            };
-            let x = td_penalty(&facts, program.as_ref(), self.ctx);
+            let x = td_penalty(&facts, &child, self.ctx);
             if x.is_infinite() {
                 continue;
             }
