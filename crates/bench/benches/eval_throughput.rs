@@ -1,9 +1,10 @@
 //! Throughput of the candidate-evaluation hot path: the reference tree
-//! interpreter vs the compiled bytecode kernel (`gtl_taco::compile`) on
-//! the validation microkernels (GEMM, TTV, MTTKRP), the batched
-//! substitution tier (`BatchKernel`) vs the per-candidate scalar loop,
-//! the compiled C reference (`run_compiled`) vs the tree-walking
-//! interpreter, plus an end-to-end `batch_suite` lift timing.
+//! interpreter vs the production evaluator (one `BatchKernel` lane
+//! through a warm `EvalCache`) on the validation microkernels (GEMM,
+//! TTV, MTTKRP), one 64-lane `BatchKernel` pass vs evaluating the same
+//! substitutions one candidate at a time, the compiled C reference
+//! (`run_compiled`) vs the tree-walking interpreter, plus an end-to-end
+//! `batch_suite` lift timing.
 //!
 //! Modes:
 //! - default: full measurement, criterion-style report lines;
@@ -13,8 +14,9 @@
 //!   JSON document committed to the perf trajectory (`BENCH_7.json`).
 //!
 //! In every mode the run fails (non-zero exit) when batched evaluation
-//! is slower per candidate than the scalar loop on the product-shaped
-//! microkernels — the CI regression guard for the batch tier.
+//! is slower per candidate than the one-candidate-at-a-time loop on the
+//! product-shaped microkernels — the CI regression guard for the batch
+//! tier.
 
 use std::time::{Duration, Instant};
 
@@ -23,8 +25,8 @@ use gtl_bench::{run_method_batch, Method};
 use gtl_benchsuite::{by_suite, Suite};
 use gtl_cfront::{run_compiled, run_kernel};
 use gtl_taco::{
-    compile, evaluate_interpreted, parse_program, Access, BatchKernel, EvalCache, Expr, Lane,
-    TacoProgram, TensorEnv,
+    evaluate_interpreted, parse_program, Access, BatchKernel, EvalCache, Expr, Lane, TacoProgram,
+    TensorEnv,
 };
 use gtl_tensor::{Shape, TensorGen};
 
@@ -86,7 +88,6 @@ fn microkernels() -> Vec<Micro> {
 struct Row {
     name: &'static str,
     interp_ns: f64,
-    compiled_ns: f64,
     cached_ns: f64,
 }
 
@@ -156,14 +157,14 @@ fn filter_fixture(m: &Micro) -> (TensorEnv, Vec<Lane>, Vec<TacoProgram>) {
 
 struct FilterRow {
     name: &'static str,
-    /// Per-candidate cost of the scalar loop on first-seen candidates
-    /// (fresh `EvalCache`: the frontier-draining regime, where every
-    /// substitution is a new concrete program and evaluates through the
-    /// tree interpreter before promotion).
+    /// Per-candidate cost of the one-at-a-time loop on first-seen
+    /// candidates (fresh `EvalCache`: the frontier-draining regime, where
+    /// every substitution is a new concrete program and is lowered before
+    /// its one-lane evaluation).
     scalar_cold_ns: f64,
-    /// Per-candidate cost of the scalar loop on a warm `EvalCache`
-    /// (every candidate already promoted to its compiled kernel — the
-    /// floor the scalar path can ever reach).
+    /// Per-candidate cost of the one-at-a-time loop on a warm
+    /// `EvalCache` (every candidate already lowered — the floor that
+    /// path can ever reach).
     scalar_warm_ns: f64,
     /// Per-candidate cost of one 64-lane batch pass (template lowered
     /// inside the measurement, as the validator does per template).
@@ -174,16 +175,6 @@ struct RefRow {
     name: &'static str,
     treewalk_ns: f64,
     compiled_ns: f64,
-}
-
-struct SafeRow {
-    name: &'static str,
-    /// Per-candidate cost of one 64-lane pass on the checked rational
-    /// sweep (`evaluate_lanes_checked` — the overflow-proof-less path).
-    checked_ns: f64,
-    /// Per-candidate cost of the same pass with the interval overflow
-    /// proof admitted, so integer groups run the wrapping fast path.
-    unchecked_ns: f64,
 }
 
 fn main() {
@@ -199,7 +190,6 @@ fn main() {
     let mut c = Criterion::default().measurement_time(budget);
     let mut rows: Vec<Row> = Vec::new();
     for m in microkernels() {
-        let kernel = compile(&m.program, &m.env).expect("microkernel compiles");
         let cache = EvalCache::default();
         cache.evaluate(&m.program, &m.env).expect("warms the cache");
 
@@ -208,38 +198,31 @@ fn main() {
             b.iter(|| evaluate_interpreted(std::hint::black_box(p), env).unwrap())
         });
         let interp_ns = c.last_mean_ns();
-        c.bench_function(&format!("compiled_{}", m.name), |b| {
-            b.iter(|| kernel.evaluate(std::hint::black_box(env)).unwrap())
-        });
-        let compiled_ns = c.last_mean_ns();
         c.bench_function(&format!("cached_{}", m.name), |b| {
             b.iter(|| cache.evaluate(std::hint::black_box(p), env).unwrap())
         });
         let cached_ns = c.last_mean_ns();
 
         println!(
-            "{:<28} speedup interp/compiled {:>5.1}x",
+            "{:<28} speedup interp/cached {:>5.1}x",
             m.name,
-            interp_ns / compiled_ns
+            interp_ns / cached_ns
         );
         rows.push(Row {
             name: m.name,
             interp_ns,
-            compiled_ns,
             cached_ns,
         });
     }
 
     // Candidate filtering: 64 substitutions of one template, evaluated
-    // one by one through a warm EvalCache (the pre-batch validator
-    // loop) vs in one BatchKernel pass (the batched tier).
+    // one by one through an EvalCache (one lane each) vs in one
+    // 64-lane BatchKernel pass (what the validator runs).
     let mut filter_rows: Vec<FilterRow> = Vec::new();
     for m in microkernels() {
         let (env, lanes, programs) = filter_fixture(&m);
         let cache = EvalCache::default();
         for p in &programs {
-            // Evaluate twice: the cache promotes to compiled on second use.
-            cache.evaluate(p, &env).expect("filter lane evaluates");
             cache.evaluate(p, &env).expect("filter lane evaluates");
         }
         c.bench_function(&format!("scalar_filter_cold_{}", m.name), |b| {
@@ -278,45 +261,6 @@ fn main() {
             scalar_cold_ns,
             scalar_warm_ns,
             batch_ns,
-        });
-    }
-
-    // The static-analysis tier: the same 64-lane batch passes with and
-    // without the interval overflow proof. Small-integer fixtures are
-    // provably safe, so `evaluate_lanes` takes the wrapping i64 path
-    // while `evaluate_lanes_checked` forces the rational sweeps the
-    // proof replaces.
-    let mut safe_rows: Vec<SafeRow> = Vec::new();
-    for m in microkernels() {
-        if m.name == "gemm_8x8_verify_points" {
-            continue; // same shape as gemm_8x8; only the value range differs
-        }
-        let (env, lanes, _) = filter_fixture(&m);
-        let kernel = BatchKernel::new(&m.program);
-        let mut stats = gtl_taco::BatchStats::default();
-        kernel.evaluate_lanes_with_stats(&lanes, &env, &mut stats);
-        assert!(
-            stats.unchecked_groups > 0,
-            "{}: small-int fixture must admit the overflow proof",
-            m.name
-        );
-        c.bench_function(&format!("batch_checked_{}", m.name), |b| {
-            b.iter(|| kernel.evaluate_lanes_checked(std::hint::black_box(&lanes), &env))
-        });
-        let checked_ns = c.last_mean_ns() / LANES as f64;
-        c.bench_function(&format!("batch_unchecked_{}", m.name), |b| {
-            b.iter(|| kernel.evaluate_lanes(std::hint::black_box(&lanes), &env))
-        });
-        let unchecked_ns = c.last_mean_ns() / LANES as f64;
-        println!(
-            "{:<28} speedup checked/unchecked {:>5.1}x",
-            m.name,
-            checked_ns / unchecked_ns
-        );
-        safe_rows.push(SafeRow {
-            name: m.name,
-            checked_ns,
-            unchecked_ns,
         });
     }
 
@@ -378,13 +322,12 @@ fn main() {
         let mut json = String::from("{\n  \"bench\": \"eval_throughput\",\n  \"microkernels\": [\n");
         for (i, r) in rows.iter().enumerate() {
             json.push_str(&format!(
-                "    {{\"name\": \"{}\", \"interp_ns\": {:.1}, \"compiled_ns\": {:.1}, \
-                 \"cached_ns\": {:.1}, \"speedup\": {:.2}}}{}\n",
+                "    {{\"name\": \"{}\", \"interp_ns\": {:.1}, \"cached_ns\": {:.1}, \
+                 \"speedup\": {:.2}}}{}\n",
                 r.name,
                 r.interp_ns,
-                r.compiled_ns,
                 r.cached_ns,
-                r.interp_ns / r.compiled_ns,
+                r.interp_ns / r.cached_ns,
                 if i + 1 < rows.len() { "," } else { "" }
             ));
         }
@@ -402,19 +345,6 @@ fn main() {
                 r.scalar_cold_ns / r.batch_ns,
                 r.scalar_warm_ns / r.batch_ns,
                 if i + 1 < filter_rows.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ],\n  \"unchecked_fastpath\": [\n");
-        for (i, r) in safe_rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"name\": \"{}\", \"lanes\": {}, \"checked_ns_per_candidate\": {:.1}, \
-                 \"unchecked_ns_per_candidate\": {:.1}, \"speedup\": {:.2}}}{}\n",
-                r.name,
-                LANES,
-                r.checked_ns,
-                r.unchecked_ns,
-                r.checked_ns / r.unchecked_ns,
-                if i + 1 < safe_rows.len() { "," } else { "" }
             ));
         }
         json.push_str("  ],\n  \"reference\": [\n");
@@ -442,8 +372,8 @@ fn main() {
     }
 
     // Regression guard: on the product-shaped microkernels the batched
-    // tier must beat the frontier-draining scalar loop per candidate,
-    // and must never fall behind even the fully warm scalar floor. The
+    // tier must beat the frontier-draining one-at-a-time loop per
+    // candidate, and must never fall behind even its fully warm floor. The
     // committed BENCH_7.json run measures 2.0–3.0× cold; full runs
     // enforce 1.8× so machine variance at the 2× mark cannot flake the
     // guard, and the CI quick-mode smoke (20ms budgets, cold ratios

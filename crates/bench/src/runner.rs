@@ -52,9 +52,6 @@ pub struct MethodResult {
     /// Templates skipped as algebraically equivalent to one already
     /// checked (0 for baselines).
     pub pruned_equivalent: u64,
-    /// Shape groups evaluated on the proven-safe unchecked integer
-    /// path (0 for baselines).
-    pub unchecked_kernels: u64,
     /// Per-phase wall-time breakdown of the lift (all-zero for
     /// baselines and warm-started answers, which run no pipeline).
     pub phase_times: PhaseTimes,
@@ -285,7 +282,6 @@ pub fn run_method_batch_stored(
                 // hit did no pruning this run anyway.
                 pruned_infeasible: 0,
                 pruned_equivalent: 0,
-                unchecked_kernels: 0,
                 phase_times: PhaseTimes::new(),
             })),
             _ => {
@@ -392,7 +388,6 @@ pub fn run_batch_via_server_stored(
                 nodes: record.nodes,
                 pruned_infeasible: 0,
                 pruned_equivalent: 0,
-                unchecked_kernels: 0,
                 phase_times: PhaseTimes::new(),
             })),
             None => {
@@ -454,7 +449,6 @@ pub fn run_batch_via_server_stored(
                         // server's aggregate `stats` snapshot does.
                         pruned_infeasible: 0,
                         pruned_equivalent: 0,
-                        unchecked_kernels: 0,
                         phase_times: PhaseTimes::new(),
                     }
                 }
@@ -473,7 +467,6 @@ pub fn run_batch_via_server_stored(
                         nodes,
                         pruned_infeasible: 0,
                         pruned_equivalent: 0,
-                        unchecked_kernels: 0,
                         phase_times: PhaseTimes::new(),
                     }
                 }
@@ -561,7 +554,6 @@ pub fn run_batch_via_router(
                             nodes: *nodes,
                             pruned_infeasible: 0,
                             pruned_equivalent: 0,
-                            unchecked_kernels: 0,
                             phase_times: PhaseTimes::new(),
                         },
                         Some(Event::Failed {
@@ -578,7 +570,6 @@ pub fn run_batch_via_router(
                             nodes: *nodes,
                             pruned_infeasible: 0,
                             pruned_equivalent: 0,
-                            unchecked_kernels: 0,
                             phase_times: PhaseTimes::new(),
                         },
                         Some(Event::Error { code, message, .. }) => panic!(
@@ -649,9 +640,8 @@ pub fn batch_json(
         .join(", ");
     let pruned_infeasible: u64 = batch.suite.results.iter().map(|r| r.pruned_infeasible).sum();
     let pruned_equivalent: u64 = batch.suite.results.iter().map(|r| r.pruned_equivalent).sum();
-    let unchecked_kernels: u64 = batch.suite.results.iter().map(|r| r.unchecked_kernels).sum();
     out.push_str(&format!(
-        "  \"method\": \"{}\",\n  \"jobs\": {},\n  \"wall_seconds\": {:.6},\n  \"cpu_seconds\": {:.6},\n  \"solved\": {},\n  \"total\": {},\n  \"pruned_infeasible\": {pruned_infeasible},\n  \"pruned_equivalent\": {pruned_equivalent},\n  \"unchecked_kernels\": {unchecked_kernels},\n  \"skipped\": [{skipped_json}],\n",
+        "  \"method\": \"{}\",\n  \"jobs\": {},\n  \"wall_seconds\": {:.6},\n  \"cpu_seconds\": {:.6},\n  \"solved\": {},\n  \"total\": {},\n  \"pruned_infeasible\": {pruned_infeasible},\n  \"pruned_equivalent\": {pruned_equivalent},\n  \"skipped\": [{skipped_json}],\n",
         json_escape(&batch.suite.method),
         batch.jobs,
         batch.wall.as_secs_f64(),

@@ -82,7 +82,6 @@ mod tests {
                     nodes: 10,
                     pruned_infeasible: 2,
                     pruned_equivalent: 1,
-                    unchecked_kernels: 4,
                     phase_times: gtl_trace::PhaseTimes::new(),
                 },
                 MethodResult {
@@ -94,7 +93,6 @@ mod tests {
                     nodes: 500,
                     pruned_infeasible: 0,
                     pruned_equivalent: 0,
-                    unchecked_kernels: 0,
                     phase_times: gtl_trace::PhaseTimes::new(),
                 },
             ],

@@ -14,7 +14,7 @@ use gtl_benchsuite::{by_name, Benchmark};
 /// fire (most of the suite solves on the first few candidates, where
 /// there is nothing to prune): `ds_mat1x3` and `sa_mttkrp` hit the
 /// feasibility pre-checks, `mf_lerp` and `art_paren_scalar` the
-/// equivalence dedup, `blas_dot`/`blas_gemv` the unchecked fast path.
+/// equivalence dedup; `blas_dot` and `blas_gemv` add two quick solves.
 fn small_set() -> Vec<Benchmark> {
     ["blas_dot", "ds_mat1x3", "mf_lerp", "sa_mttkrp", "art_paren_scalar", "blas_gemv"]
         .iter()
@@ -62,19 +62,5 @@ fn pruned_run_solves_the_same_set_as_unpruned() {
     assert!(
         equivalent > 0,
         "the suite must exercise equivalence dedup (got 0 equivalent prunes)"
-    );
-}
-
-#[test]
-fn overflow_proof_admits_unchecked_kernels_on_default_examples() {
-    // Default §6 examples are tiny integers, so the interval analysis
-    // should prove most product kernels safe — the counter surfacing
-    // through MethodResult must reflect that.
-    let set = vec![by_name("blas_dot").unwrap(), by_name("blas_gemv").unwrap()];
-    let run = run_method_on(&Method::stagg_td(), &set);
-    let unchecked: u64 = run.results.iter().map(|r| r.unchecked_kernels).sum();
-    assert!(
-        unchecked > 0,
-        "small-integer examples must admit the unchecked integer fast path"
     );
 }

@@ -90,7 +90,7 @@ pub struct LiftHooks<'a> {
     pub search: SearchHooks,
     /// A caller-owned [`EvalCache`] shared by every search worker of
     /// this lift and reusable across lifts (a serving worker keeps one
-    /// per thread, so repeated kernels never recompile). `None` gives
+    /// per thread, so a recurring candidate is lowered once). `None` gives
     /// each search worker a private, per-lift cache.
     pub eval_cache: Option<&'a EvalCache>,
 }
@@ -173,7 +173,6 @@ impl Stagg {
             substitutions_tried: 0,
             pruned_infeasible: 0,
             pruned_equivalent: 0,
-            unchecked_kernels: 0,
             candidates_received: 0,
             candidates_parsed: 0,
             dim_list: Vec::new(),
@@ -293,7 +292,6 @@ impl Stagg {
             report.substitutions_tried += outcome.substitutions_tried;
             report.pruned_infeasible += outcome.pruned_infeasible;
             report.pruned_equivalent += outcome.pruned_equivalent;
-            report.unchecked_kernels += outcome.unchecked_kernels;
             report.dim_list = outcome.dim_list;
             report.template = outcome.template;
             report.failure = LiftReport::failure_from_stop(outcome.stop);
@@ -421,10 +419,10 @@ impl Stagg {
 
         // The one checking contract both engines share: validate the
         // template's substitutions on the examples, verify survivors.
-        // Each checker routes every evaluation through an `EvalCache`, so
-        // a template checked against N examples/substitutions compiles
-        // once per shape signature, and the verifier reuses the same
-        // compiled kernels. A raised external cancel flag short-circuits
+        // Validation lowers each template once and filters its
+        // substitutions in lane batches; the verifier evaluates survivors
+        // through the checker's `EvalCache`, which lowers each candidate
+        // once for all its trials. A raised external cancel flag short-circuits
         // the check, so cancellation is prompt even mid-validation.
         let check_template = |template: &TacoProgram,
                               stats: &mut ValidationStats,
@@ -530,8 +528,8 @@ impl Stagg {
             let make_checker = move |_worker: usize| {
                 // One private cache per worker (no contention on the hot
                 // path), unless the caller supplied a longer-lived one —
-                // `EvalCache` is sharded and thread-safe, so sharing is
-                // sound and lets compilations amortise across lifts.
+                // `EvalCache` is thread-safe, so sharing is sound and
+                // lets lowered kernels amortise across lifts.
                 let cache = match external_cache {
                     Some(shared_cache) => CacheRef::Shared(shared_cache),
                     None => CacheRef::Owned(Box::default()),
@@ -580,7 +578,6 @@ impl Stagg {
                 // parallel engine's seen-set (before a checker sees the
                 // candidate) and the checker-level set (sequential path).
                 pruned_equivalent: snap.pruned_equivalent + outcome.pruned_equivalent,
-                unchecked_kernels: snap.unchecked_kernels,
                 dim_list,
                 template: outcome.template,
                 solution: outcome.solution,
@@ -600,7 +597,6 @@ struct RoundOutcome {
     substitutions_tried: u64,
     pruned_infeasible: u64,
     pruned_equivalent: u64,
-    unchecked_kernels: u64,
     dim_list: Vec<usize>,
     template: Option<TacoProgram>,
     solution: Option<TacoProgram>,

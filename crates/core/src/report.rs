@@ -77,9 +77,6 @@ pub struct LiftReport {
     /// already been checked (canonical-fingerprint dedup, summed over
     /// the search engine's seen-set and the validation-layer set).
     pub pruned_equivalent: u64,
-    /// Batched-evaluation shape groups that ran the unchecked integer
-    /// fast path under an interval overflow proof.
-    pub unchecked_kernels: u64,
     /// Candidates returned by the oracle.
     pub candidates_received: usize,
     /// Candidates that survived preprocessing/parsing/templatisation.
@@ -129,7 +126,6 @@ impl LiftReport {
             && self.substitutions_tried == other.substitutions_tried
             && self.pruned_infeasible == other.pruned_infeasible
             && self.pruned_equivalent == other.pruned_equivalent
-            && self.unchecked_kernels == other.unchecked_kernels
             && self.candidates_received == other.candidates_received
             && self.candidates_parsed == other.candidates_parsed
             && self.dim_list == other.dim_list

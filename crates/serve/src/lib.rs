@@ -10,7 +10,7 @@
 //! admitted to a **bounded job queue** drained by a **persistent worker
 //! pool**; workers run the full pipeline (`gtl::Stagg::lift_with`) with
 //! the parallel search engine and a long-lived per-worker
-//! `gtl_taco::EvalCache`, and stream incremental [`Event`]s back to the
+//! `gtl_taco::EvalCache` of lowered evaluation kernels, and stream incremental [`Event`]s back to the
 //! submitting client: `queued`, `search_progress`, `candidate_found`,
 //! `verified`, then a terminal `done` / `failed` / `error`.
 //!

@@ -432,9 +432,6 @@ pub struct ServerStats {
     /// Candidate templates skipped as algebraically equivalent to one
     /// already checked, summed over every lift served.
     pub pruned_equivalent: u64,
-    /// Shape groups evaluated on the unchecked integer fast path under
-    /// an interval overflow proof, summed over every lift served.
-    pub unchecked_kernels: u64,
     /// Service-time distribution in microseconds (admission → terminal
     /// event) of every finished lift. Routers merge replica histograms
     /// element-wise, so the merged view equals a single process seeing
@@ -1075,7 +1072,6 @@ static STAT_FIELDS: &[StatField] = stat_fields![
     (shared_events, false, Counter, "Accepted share_lift pushes."),
     (pruned_infeasible, false, Counter, "Candidate templates skipped by feasibility pre-checks."),
     (pruned_equivalent, false, Counter, "Candidate templates skipped as algebraically equivalent."),
-    (unchecked_kernels, false, Counter, "Shape groups evaluated on the unchecked fast path."),
 ];
 
 fn stats_to_json(s: &ServerStats) -> Json {
@@ -1823,7 +1819,6 @@ mod tests {
                     ],
                     pruned_infeasible: 120,
                     pruned_equivalent: 45,
-                    unchecked_kernels: 88,
                     service_time,
                     queue_wait,
                     phase_times,
@@ -1878,6 +1873,16 @@ mod tests {
         assert!(stats.service_time.is_empty());
         assert!(stats.queue_wait.is_empty());
         assert!(stats.phase_times.is_empty());
+    }
+
+    #[test]
+    fn stats_with_the_retired_unchecked_kernels_field_still_decode() {
+        let line = r#"{"event":"stats","stats":{"received":2,"completed":2,"failed":0,"cancelled":0,"rejected":0,"cache_hits":1,"cache_misses":1,"queued":0,"active":0,"workers":1,"pruned_infeasible":5,"pruned_equivalent":3,"unchecked_kernels":88}}"#;
+        let Event::Stats { stats } = Event::parse_line(line).unwrap() else {
+            panic!("not a stats event");
+        };
+        assert_eq!((stats.pruned_infeasible, stats.pruned_equivalent), (5, 3));
+        assert!(!Event::Stats { stats }.to_line().contains("unchecked_kernels"));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!            monitor ───┘  (progress ticks, timeout enforcement)
 //! ```
 //!
-//! Each worker owns one long-lived [`EvalCache`], so kernels recurring
-//! across requests never recompile; a request-level [`ResultCache`]
+//! Each worker owns one long-lived [`EvalCache`], so a candidate program
+//! recurring across requests is lowered for evaluation once per worker;
+//! a request-level [`ResultCache`]
 //! sits in front of the pipeline and answers repeated identical
 //! requests without running a search at all. Cancellation (client
 //! `cancel`, request timeout, server shutdown) rides the search
@@ -330,7 +331,6 @@ struct Counters {
     /// this process (cache hits excluded — no search ran).
     pruned_infeasible: AtomicU64,
     pruned_equivalent: AtomicU64,
-    unchecked_kernels: AtomicU64,
 }
 
 struct Inner {
@@ -422,7 +422,6 @@ impl Inner {
             replicas: Vec::new(),
             pruned_infeasible: self.counters.pruned_infeasible.load(Ordering::Relaxed),
             pruned_equivalent: self.counters.pruned_equivalent.load(Ordering::Relaxed),
-            unchecked_kernels: self.counters.unchecked_kernels.load(Ordering::Relaxed),
             service_time: self
                 .metrics
                 .service_time
@@ -679,7 +678,7 @@ fn wire_reason(failure: &FailureReason) -> (String, Option<String>) {
 
 fn worker_loop(inner: &Inner, worker: usize) {
     // One evaluation cache per worker, reused across every lift this
-    // worker runs: recurring kernels never recompile. Oracle providers
+    // worker runs: recurring programs are lowered once. Oracle providers
     // are hoisted further still — one instance per spec per *server*
     // (see `Inner::providers`) — so workers share recording stores and
     // replay fixtures instead of rebuilding them per request.
@@ -905,10 +904,6 @@ fn process(inner: &Inner, job: Job, eval_cache: &EvalCache) {
         .counters
         .pruned_equivalent
         .fetch_add(report.pruned_equivalent, Ordering::Relaxed);
-    inner
-        .counters
-        .unchecked_kernels
-        .fetch_add(report.unchecked_kernels, Ordering::Relaxed);
 
     // An external cause (cancel / timeout / shutdown) overrides the
     // pipeline's own classification.

@@ -1,13 +1,15 @@
 //! Batched evaluation: many substitutions of one template in a single
-//! pass.
+//! pass. This is the crate's one production evaluator: [`crate::evaluate`]
+//! and [`crate::EvalCache`] run a concrete program as a single identity
+//! lane, and the validator's I/O filter runs a template's substitutions as
+//! many lanes at once.
 //!
 //! Candidate filtering evaluates the *same template* under many
 //! substitutions (tensor renamings plus `Const` instantiations) against
-//! the same environment. The scalar path pays per substitution: one
-//! [`crate::compile()`] lowering (or interpreter walk), one loop-nest
-//! setup, one stride computation — all for a program that differs from
-//! its siblings only in which tensors it reads and which constants it
-//! multiplies by.
+//! the same environment. Evaluated one at a time, each substitution would
+//! pay for its own lowering, loop-nest setup and stride computation — all
+//! for a program that differs from its siblings only in which tensors it
+//! reads and which constants it multiplies by.
 //!
 //! [`BatchKernel`] lowers the template **once** into the fixed-width
 //! micro-ISA of [`crate::isa`] and evaluates a whole slice of
@@ -23,22 +25,18 @@
 //!   input demotes *only that lane* (for only the affected output cell)
 //!   to the exact-rational engine, keeping every lane's result —
 //!   including its [`EvalError`] classification — bit-identical to
-//!   evaluating the substituted program with [`crate::evaluate`];
+//!   running the substituted program through the reference interpreter
+//!   ([`crate::evaluate_interpreted`]);
 //! - product-shaped templates (GEMM, TTV, MTTKRP, dot — a pure
 //!   multiplication tree) skip the register machine on the fast path and
-//!   run the same unrolled multiply-accumulate inner loops as the scalar
-//!   compiler, amortising the odometer across all lanes.
+//!   run unrolled multiply-accumulate inner loops, amortising the
+//!   odometer across all lanes.
 
 use std::collections::{BTreeMap, HashMap};
 
 use gtl_tensor::{Rat, Shape, Tensor};
 
-use crate::absint::{analyze_kernel, Interval};
 use crate::ast::{Expr, IndexVar, TacoProgram};
-use crate::compile::{
-    access_strides, advance, inner_product1, inner_product2, inner_product3,
-    wrapping_inner_product1, wrapping_inner_product2, wrapping_inner_product3, LoopState,
-};
 use crate::eval::EvalError;
 use crate::isa::{Encoder, IsaProgram, Opcode};
 use crate::semantics::{record_extent, SemanticError, TensorEnv};
@@ -52,18 +50,6 @@ pub struct Lane {
     /// Concrete constant values, aligned with
     /// [`BatchKernel::const_slots`].
     pub constants: Vec<i64>,
-}
-
-/// Engine-choice counters for one or more batched evaluation passes
-/// (see [`BatchKernel::evaluate_lanes_with_stats`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Shape groups whose [`crate::absint`] overflow proof licensed the
-    /// unchecked (wrapping) integer sweep.
-    pub unchecked_groups: u64,
-    /// Shape groups evaluated with the checked, per-lane-demoting
-    /// engines.
-    pub checked_groups: u64,
 }
 
 /// One template access: which tensor slot it reads and with which index
@@ -130,8 +116,9 @@ pub struct BatchKernel {
 
 impl BatchKernel {
     /// Lowers `template` into the micro-ISA. Infallible: name binding and
-    /// shape checking happen per lane at evaluation time, exactly as the
-    /// scalar path defers them to [`crate::analyze`].
+    /// shape checking happen per lane at evaluation time, with the same
+    /// checks and errors as [`crate::analyze`]. The kernel depends on no
+    /// shape, so one lowering serves every environment.
     pub fn new(template: &TacoProgram) -> BatchKernel {
         let mut kernel = BatchKernel {
             lhs_indices: template.lhs.indices.clone(),
@@ -155,9 +142,9 @@ impl BatchKernel {
         kernel
     }
 
-    /// Postorder lowering with depth registers, mirroring the scalar
-    /// compiler's scheme so the instruction and register assignment are
-    /// identical to what any substituted program would compile to.
+    /// Postorder lowering with depth registers: an expression at depth `d`
+    /// leaves its value in register `d`, so the instruction stream is
+    /// exactly the interpreter's evaluation order.
     fn lower(&mut self, expr: &Expr, depth: u16, enc: &mut Encoder) {
         match expr {
             Expr::Access(acc) => {
@@ -209,11 +196,6 @@ impl BatchKernel {
     /// [`Lane`] binds one `i64` per entry.
     pub fn const_slots(&self) -> &[u32] {
         &self.const_syms
-    }
-
-    /// The lowered instruction stream (for inspection and benchmarks).
-    pub fn isa(&self) -> &IsaProgram {
-        &self.isa
     }
 
     /// Per-lane semantic analysis: the same walk, checks and error
@@ -272,8 +254,9 @@ impl BatchKernel {
     ///
     /// Returns one result per lane, in lane order. Each result is
     /// bit-identical — value and [`EvalError`] classification — to
-    /// [`crate::evaluate`] on the program obtained by substituting the
-    /// lane's tensor names and constants into the template.
+    /// [`crate::evaluate_interpreted`] on the program obtained by
+    /// substituting the lane's tensor names and constants into the
+    /// template.
     ///
     /// # Panics
     ///
@@ -284,39 +267,6 @@ impl BatchKernel {
         &self,
         lanes: &[Lane],
         env: &TensorEnv,
-    ) -> Vec<Result<Tensor, EvalError>> {
-        self.evaluate_lanes_with_stats(lanes, env, &mut BatchStats::default())
-    }
-
-    /// [`BatchKernel::evaluate_lanes`], additionally accumulating
-    /// engine-choice counters (checked vs proven-overflow-free unchecked
-    /// shape groups) into `stats`.
-    pub fn evaluate_lanes_with_stats(
-        &self,
-        lanes: &[Lane],
-        env: &TensorEnv,
-        stats: &mut BatchStats,
-    ) -> Vec<Result<Tensor, EvalError>> {
-        self.evaluate_lanes_inner(lanes, env, false, stats)
-    }
-
-    /// [`BatchKernel::evaluate_lanes`] with the unchecked fast path
-    /// disabled even where the overflow proof would license it. The
-    /// differential tests pin the unchecked path against this.
-    pub fn evaluate_lanes_checked(
-        &self,
-        lanes: &[Lane],
-        env: &TensorEnv,
-    ) -> Vec<Result<Tensor, EvalError>> {
-        self.evaluate_lanes_inner(lanes, env, true, &mut BatchStats::default())
-    }
-
-    fn evaluate_lanes_inner(
-        &self,
-        lanes: &[Lane],
-        env: &TensorEnv,
-        force_checked: bool,
-        stats: &mut BatchStats,
     ) -> Vec<Result<Tensor, EvalError>> {
         struct Group {
             key: Vec<Shape>,
@@ -357,7 +307,7 @@ impl BatchKernel {
             }
         }
         for g in &groups {
-            self.run_group(lanes, &g.ids, &g.extents, env, &mut results, force_checked, stats);
+            self.run_group(lanes, &g.ids, &g.extents, env, &mut results);
         }
         results
             .into_iter()
@@ -367,7 +317,6 @@ impl BatchKernel {
 
     /// Evaluates the lanes of one shape group: shared odometer, shared
     /// strides, lane-major registers.
-    #[allow(clippy::too_many_arguments)]
     fn run_group(
         &self,
         lanes: &[Lane],
@@ -375,11 +324,9 @@ impl BatchKernel {
         extents: &BTreeMap<IndexVar, usize>,
         env: &TensorEnv,
         results: &mut [Option<Result<Tensor, EvalError>>],
-        force_checked: bool,
-        stats: &mut BatchStats,
     ) {
         // Loop structure: output loops first (later LHS occurrence wins,
-        // matching the scalar compiler), then summation loops.
+        // matching the interpreter), then summation loops.
         let n_out = self.lhs_indices.len();
         let mut slot_of: BTreeMap<&str, u32> = BTreeMap::new();
         for (slot, ix) in self.lhs_indices.iter().enumerate() {
@@ -436,10 +383,11 @@ impl BatchKernel {
             })
             .collect();
 
-        // The i64 fast path mirrors the scalar gate: division-free, a real
-        // summation, and (per lane) every input element an i64 integer.
-        // Conversion is memoised per concrete tensor name, so a tensor
-        // shared by many lanes converts once.
+        // The i64 fast path needs a division-free template, a real
+        // summation (with none, every element is read once, so converting
+        // costs more than it saves), and (per lane) every input element
+        // an i64 integer. Conversion is memoised per concrete tensor
+        // name, so a tensor shared by many lanes converts once.
         let int_eligible = !self.isa.has_div && sum_iters > 1;
         let mut ints_by_name: HashMap<&str, Option<Vec<i64>>> = HashMap::new();
         if int_eligible {
@@ -496,59 +444,6 @@ impl BatchKernel {
                 })
             })
             .collect();
-
-        // Static overflow proof: when every lane of the group is on the
-        // integer path, seed per-access value ranges from the concrete
-        // tensors (union over lanes) and ask the abstract interpreter
-        // whether any intermediate can leave i64. A `Safe` verdict swaps
-        // the checked sweeps below for plain wrapping arithmetic — bit-
-        // identical by the proof, branch-free in the inner loops.
-        let all_int =
-            int_eligible && modes.iter().all(|m| matches!(m, Mode::Int { .. }));
-        let unchecked = all_int && !force_checked && {
-            let range_by_name: HashMap<&str, Interval> = ints_by_name
-                .iter()
-                .filter_map(|(name, ints)| {
-                    ints.as_ref().map(|v| (*name, Interval::of_values(v)))
-                })
-                .collect();
-            let access_ranges: Vec<Interval> = self
-                .accesses
-                .iter()
-                .map(|acc| {
-                    ids.iter()
-                        .map(|&id| {
-                            range_by_name[lanes[id].tensors[acc.slot as usize].as_str()]
-                        })
-                        .reduce(Interval::union)
-                        .unwrap_or(Interval::point(0))
-                })
-                .collect();
-            let sym_ranges: Vec<Interval> = (0..self.const_syms.len())
-                .map(|k| {
-                    ids.iter()
-                        .map(|&id| Interval::point(lanes[id].constants[k]))
-                        .reduce(Interval::union)
-                        .unwrap_or(Interval::point(0))
-                })
-                .collect();
-            analyze_kernel(&self.isa, &access_ranges, &sym_ranges, sum_iters).is_safe()
-        };
-        if unchecked {
-            stats.unchecked_groups += 1;
-        } else {
-            stats.checked_groups += 1;
-        }
-        // Unwrapped per-lane integer data for the unchecked sweeps (all
-        // lanes are int-mode when `unchecked` holds).
-        let int_data: Vec<&[&[i64]]> = if unchecked {
-            acc_ints
-                .iter()
-                .map(|o| o.as_ref().expect("unchecked implies all-int").as_slice())
-                .collect()
-        } else {
-            Vec::new()
-        };
 
         // Product fast-path plan: for every int-mode lane, the folded
         // coefficient and its per-load data slices, resolved once per
@@ -617,8 +512,8 @@ impl BatchKernel {
 
         for _ in 0..out_len {
             // Which lanes attempt the fast path this cell; a mid-cell
-            // overflow flips the lane into `rat_run` (per-cell demotion,
-            // exactly like the scalar engine's per-cell fallback).
+            // overflow flips the lane into `rat_run` (per-cell demotion:
+            // the exact sweep below recomputes just that cell).
             let mut any_int = false;
             for (pos, mode) in modes.iter().enumerate() {
                 int_alive[pos] = matches!(mode, Mode::Int { .. }) && lane_err[pos].is_none();
@@ -653,54 +548,6 @@ impl BatchKernel {
                                 for (i, &a) in loads.iter().enumerate() {
                                     let a = a as usize;
                                     offs[i] = state.base_off[a] + state.sum_off[a];
-                                }
-                                if unchecked {
-                                    // Proven overflow-free: wrapping
-                                    // multiply-accumulate, no demotion.
-                                    for &(pos, coeff, d) in &int_plan {
-                                        let part = match loads.len() {
-                                            1 => wrapping_inner_product1(
-                                                d[0],
-                                                offs[0],
-                                                inner_strides[0],
-                                                coeff,
-                                                inner,
-                                            ),
-                                            2 => wrapping_inner_product2(
-                                                d[0],
-                                                offs[0],
-                                                inner_strides[0],
-                                                d[1],
-                                                offs[1],
-                                                inner_strides[1],
-                                                coeff,
-                                                inner,
-                                            ),
-                                            _ => wrapping_inner_product3(
-                                                d[0],
-                                                offs[0],
-                                                inner_strides[0],
-                                                d[1],
-                                                offs[1],
-                                                inner_strides[1],
-                                                d[2],
-                                                offs[2],
-                                                inner_strides[2],
-                                                coeff,
-                                                inner,
-                                            ),
-                                        };
-                                        int_accs[pos] = int_accs[pos].wrapping_add(part);
-                                    }
-                                    if has_sum {
-                                        advance(
-                                            &mut state.counters[n_out..n_loops - 1],
-                                            &loop_extents[n_out..n_loops - 1],
-                                            &sum_updates[..sum_updates.len() - 1],
-                                            &mut state.sum_off,
-                                        );
-                                    }
-                                    continue;
                                 }
                                 for &(pos, coeff, d) in &int_plan {
                                     if !int_alive[pos] {
@@ -760,71 +607,6 @@ impl BatchKernel {
                                     cell_vals[pos] = Rat::from(int_accs[pos]);
                                 }
                             }
-                        }
-                    }
-                    _ if unchecked => {
-                        // Generic sweep, proven overflow-free: wrapping
-                        // ops for every lane, no aliveness bookkeeping,
-                        // no rational fallback possible.
-                        for acc in int_accs.iter_mut() {
-                            *acc = 0;
-                        }
-                        for _ in 0..sum_iters {
-                            for inst in &self.isa.insts {
-                                let d = inst.dst as usize * nl;
-                                match inst.op {
-                                    Opcode::LoadSlot => {
-                                        let a = inst.a as usize;
-                                        let off = state.base_off[a] + state.sum_off[a];
-                                        for pos in 0..nl {
-                                            regs_i[d + pos] = int_data[pos][a][off];
-                                        }
-                                    }
-                                    Opcode::ConstImm => {
-                                        let v = self.isa.imms[inst.a as usize];
-                                        for pos in 0..nl {
-                                            regs_i[d + pos] = v;
-                                        }
-                                    }
-                                    Opcode::ConstSym => {
-                                        let sym = inst.a as usize;
-                                        for pos in 0..nl {
-                                            regs_i[d + pos] = lanes[ids[pos]].constants[sym];
-                                        }
-                                    }
-                                    Opcode::Neg => {
-                                        let s = inst.a as usize * nl;
-                                        for pos in 0..nl {
-                                            regs_i[d + pos] = regs_i[s + pos].wrapping_neg();
-                                        }
-                                    }
-                                    Opcode::Add | Opcode::Sub | Opcode::Mul => {
-                                        let a = inst.a as usize * nl;
-                                        let b = inst.b as usize * nl;
-                                        for pos in 0..nl {
-                                            let (x, y) = (regs_i[a + pos], regs_i[b + pos]);
-                                            regs_i[d + pos] = match inst.op {
-                                                Opcode::Add => x.wrapping_add(y),
-                                                Opcode::Sub => x.wrapping_sub(y),
-                                                _ => x.wrapping_mul(y),
-                                            };
-                                        }
-                                    }
-                                    Opcode::Div => unreachable!("i64 mode is division-free"),
-                                }
-                            }
-                            for pos in 0..nl {
-                                int_accs[pos] = int_accs[pos].wrapping_add(regs_i[pos]);
-                            }
-                            advance(
-                                &mut state.counters[n_out..],
-                                &loop_extents[n_out..],
-                                &sum_updates,
-                                &mut state.sum_off,
-                            );
-                        }
-                        for pos in 0..nl {
-                            cell_vals[pos] = Rat::from(int_accs[pos]);
                         }
                     }
                     _ => {
@@ -934,7 +716,7 @@ impl BatchKernel {
             // Exact sweep: rational-mode lanes plus any lane the fast
             // path demoted this cell. Strict postorder per iteration, so
             // error classification (and the failing op) matches the
-            // scalar engine exactly.
+            // interpreter exactly.
             if rat_run.iter().any(|&b| b) {
                 if sum_iters == 0 {
                     for pos in 0..nl {
@@ -1061,11 +843,157 @@ impl BatchKernel {
     }
 }
 
+/// The loop nest's mutable state: raw counters plus per-access offsets
+/// maintained incrementally (output contribution and summation
+/// contribution kept separate, so a summation sweep never disturbs the
+/// output position).
+struct LoopState {
+    counters: Vec<usize>,
+    base_off: Vec<usize>,
+    sum_off: Vec<usize>,
+}
+
+/// Row-major `(loop slot, stride)` pairs for one access: stride of dim
+/// `d` is the product of the extents of all later dims, and a repeated
+/// index (diagonal access) merges into one pair with the summed stride.
+/// The single source of the layout rule shared by the batched engine and
+/// the interpreter ([`crate::eval`]).
+pub(crate) fn access_strides<S: Copy + PartialEq>(
+    indices: &[IndexVar],
+    extents: &[usize],
+    mut slot_of: impl FnMut(&str) -> S,
+) -> Vec<(S, usize)> {
+    let mut strides: Vec<(S, usize)> = Vec::with_capacity(indices.len());
+    let mut stride = 1usize;
+    for (ix, &extent) in indices.iter().zip(extents).rev() {
+        let slot = slot_of(ix.as_str());
+        match strides.iter_mut().find(|(s, _)| *s == slot) {
+            Some((_, st)) => *st += stride,
+            None => strides.push((slot, stride)),
+        }
+        stride *= extent;
+    }
+    strides.reverse();
+    strides
+}
+
+/// Advances a row-major odometer one step (rightmost fastest), applying
+/// each moved counter's stride deltas to the affected access offsets.
+#[inline]
+fn advance(
+    counters: &mut [usize],
+    extents: &[usize],
+    updates: &[Vec<(u32, usize)>],
+    offs: &mut [usize],
+) {
+    for slot in (0..counters.len()).rev() {
+        counters[slot] += 1;
+        if counters[slot] < extents[slot] {
+            for &(a, stride) in &updates[slot] {
+                offs[a as usize] += stride;
+            }
+            return;
+        }
+        counters[slot] = 0;
+        for &(a, stride) in &updates[slot] {
+            offs[a as usize] -= (extents[slot] - 1) * stride;
+        }
+    }
+}
+
+/// `coeff · Σ_t d[o + t·s]` with checked arithmetic; `None` = fall back.
+#[inline]
+fn inner_product1(d: &[i64], mut o: usize, s: usize, coeff: i64, n: usize) -> Option<i64> {
+    let mut acc = 0i64;
+    if coeff == 1 {
+        for _ in 0..n {
+            acc = acc.checked_add(d[o])?;
+            o += s;
+        }
+    } else {
+        for _ in 0..n {
+            acc = acc.checked_add(coeff.checked_mul(d[o])?)?;
+            o += s;
+        }
+    }
+    Some(acc)
+}
+
+/// `coeff · Σ_t d0[o0 + t·s0] · d1[o1 + t·s1]` with checked arithmetic.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn inner_product2(
+    d0: &[i64],
+    mut o0: usize,
+    s0: usize,
+    d1: &[i64],
+    mut o1: usize,
+    s1: usize,
+    coeff: i64,
+    n: usize,
+) -> Option<i64> {
+    let mut acc = 0i64;
+    if coeff == 1 {
+        for _ in 0..n {
+            acc = acc.checked_add(d0[o0].checked_mul(d1[o1])?)?;
+            o0 += s0;
+            o1 += s1;
+        }
+    } else {
+        for _ in 0..n {
+            acc = acc.checked_add(coeff.checked_mul(d0[o0])?.checked_mul(d1[o1])?)?;
+            o0 += s0;
+            o1 += s1;
+        }
+    }
+    Some(acc)
+}
+
+/// Three-load variant of [`inner_product2`] (MTTKRP shape).
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn inner_product3(
+    d0: &[i64],
+    mut o0: usize,
+    s0: usize,
+    d1: &[i64],
+    mut o1: usize,
+    s1: usize,
+    d2: &[i64],
+    mut o2: usize,
+    s2: usize,
+    coeff: i64,
+    n: usize,
+) -> Option<i64> {
+    let mut acc = 0i64;
+    if coeff == 1 {
+        for _ in 0..n {
+            acc = acc.checked_add(d0[o0].checked_mul(d1[o1])?.checked_mul(d2[o2])?)?;
+            o0 += s0;
+            o1 += s1;
+            o2 += s2;
+        }
+    } else {
+        for _ in 0..n {
+            acc = acc.checked_add(
+                coeff
+                    .checked_mul(d0[o0])?
+                    .checked_mul(d1[o1])?
+                    .checked_mul(d2[o2])?,
+            )?;
+            o0 += s0;
+            o1 += s1;
+            o2 += s2;
+        }
+    }
+    Some(acc)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::{Access, Ident};
-    use crate::eval::evaluate;
+    use crate::eval::evaluate_interpreted;
     use crate::parser::parse_program;
     use gtl_tensor::RatError;
     use std::collections::HashMap as Map;
@@ -1078,7 +1006,7 @@ mod tests {
         e
     }
 
-    /// Applies a lane to the template the way the scalar path would:
+    /// Applies a lane to the template the way the validator does:
     /// rename every tensor by slot, replace every `Const` by its value.
     fn concretize(k: &BatchKernel, t: &TacoProgram, lane: &Lane) -> TacoProgram {
         let names: Map<&str, &str> = k
@@ -1115,8 +1043,9 @@ mod tests {
         }
     }
 
-    /// The batch result of every lane must equal scalar evaluation of the
-    /// substituted program — values and error classification.
+    /// The batch result of every lane must equal the reference
+    /// interpreter on the substituted program — values and error
+    /// classification.
     fn assert_lanes_match_scalar(src: &str, lanes: &[Lane], env: &TensorEnv) {
         let t = parse_program(src).unwrap();
         let k = BatchKernel::new(&t);
@@ -1124,7 +1053,7 @@ mod tests {
         assert_eq!(got.len(), lanes.len());
         for (lane, got) in lanes.iter().zip(&got) {
             let concrete = concretize(&k, &t, lane);
-            let want = evaluate(&concrete, env);
+            let want = evaluate_interpreted(&concrete, env);
             assert_eq!(got, &want, "lane {lane:?} diverged from scalar");
         }
     }
@@ -1311,65 +1240,15 @@ mod tests {
     }
 
     #[test]
-    fn safe_product_group_runs_unchecked() {
-        let e = env(&[
-            ("m", Shape::new(vec![2, 3]), &[1, 2, 3, 4, 5, 6]),
-            ("x", Shape::new(vec![3]), &[1, 0, -2]),
-        ]);
-        let t = parse_program("y(i) = m(i,j) * x(j)").unwrap();
-        let k = BatchKernel::new(&t);
-        let lanes = [lane(&["m", "x"]), lane(&["m", "x"])];
-        let mut stats = BatchStats::default();
-        let got = k.evaluate_lanes_with_stats(&lanes, &e, &mut stats);
-        assert_eq!(stats.unchecked_groups, 1, "small values must prove safe");
-        assert_eq!(stats.checked_groups, 0);
-        assert_eq!(got, k.evaluate_lanes_checked(&lanes, &e));
-    }
-
-    #[test]
-    fn safe_generic_group_runs_unchecked() {
-        let e = env(&[
-            ("b", Shape::new(vec![2, 3]), &[1, 2, 3, 4, 5, 6]),
-            ("c", Shape::new(vec![2, 3]), &[-1, 0, 2, 5, -4, 3]),
-        ]);
-        // Addition under summation: the generic register-machine sweep.
-        let t = parse_program("a(i) = b(i,j) + c(i,j)").unwrap();
-        let k = BatchKernel::new(&t);
-        let lanes = [lane(&["b", "c"])];
-        let mut stats = BatchStats::default();
-        let got = k.evaluate_lanes_with_stats(&lanes, &e, &mut stats);
-        assert_eq!(stats.unchecked_groups, 1);
-        assert_eq!(got, k.evaluate_lanes_checked(&lanes, &e));
-    }
-
-    #[test]
-    fn overflow_risk_keeps_the_checked_path() {
+    fn huge_product_lanes_demote_and_match_interpreter() {
+        // Every partial sum of the two-load product overflows i64, so the
+        // lane leaves the fast path in every cell and the exact sweep
+        // must produce the interpreter's values.
         let big = 4_000_000_000_000_000_000i64;
         let e = env(&[
             ("m", Shape::new(vec![2, 3]), &[big, big, big, big, big, big]),
             ("x", Shape::new(vec![3]), &[1, 1, 1]),
         ]);
-        let t = parse_program("y(i) = m(i,j) * x(j)").unwrap();
-        let k = BatchKernel::new(&t);
-        let lanes = [lane(&["m", "x"])];
-        let mut stats = BatchStats::default();
-        let got = k.evaluate_lanes_with_stats(&lanes, &e, &mut stats);
-        assert_eq!(stats.unchecked_groups, 0, "big values must stay checked");
-        assert_eq!(stats.checked_groups, 1);
-        assert_eq!(got, k.evaluate_lanes_checked(&lanes, &e));
-        // And the checked path still matches scalar semantics.
-        assert_lanes_match_scalar("y(i) = m(i,j) * x(j)", &lanes, &e);
-    }
-
-    #[test]
-    fn forced_checked_never_reports_unchecked_groups() {
-        let e = env(&[("b", Shape::new(vec![3]), &[1, 2, 3])]);
-        let t = parse_program("a = b(i) * b(i)").unwrap();
-        let k = BatchKernel::new(&t);
-        let lanes = [lane(&["b"])];
-        let mut stats = BatchStats::default();
-        let auto = k.evaluate_lanes_with_stats(&lanes, &e, &mut stats);
-        assert_eq!(stats.unchecked_groups, 1);
-        assert_eq!(auto, k.evaluate_lanes_checked(&lanes, &e));
+        assert_lanes_match_scalar("y(i) = m(i,j) * x(j)", &[lane(&["m", "x"])], &e);
     }
 }

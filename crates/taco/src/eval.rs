@@ -8,20 +8,22 @@
 //! Two engines implement these semantics and are kept bit-for-bit
 //! identical (the differential proptests enforce it):
 //!
-//! - the *interpreter* here — a tree walker over a pre-resolved RHS with
-//!   positional index bindings (no per-iteration allocation);
-//! - the *compiled* path in [`mod@crate::compile`] — interned slots, stride
-//!   bytecode and an `i64` fast path, used by the validation hot loop.
-//!
-//! [`evaluate`] routes through the compiled path; [`evaluate_interpreted`]
-//! is the reference interpreter.
+//! - the production engine, [`BatchKernel`] — a micro-ISA with a
+//!   checked `i64` fast path and exact-rational fallback. [`evaluate`]
+//!   and [`EvalCache`] run a concrete program on it as one identity lane;
+//! - the reference *interpreter* here, [`evaluate_interpreted`] — a tree
+//!   walker over a pre-resolved RHS with positional index bindings, kept
+//!   as the executable specification the tests check against.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use gtl_tensor::{Rat, RatError, Tensor};
 
 use crate::ast::{BinOp, Expr, TacoProgram};
+use crate::batch::{access_strides, BatchKernel, Lane};
 use crate::semantics::{analyze, IndexAnalysis, SemanticError, TensorEnv};
 
 /// An evaluation error.
@@ -87,10 +89,7 @@ fn resolve<'a>(
                 .ok_or_else(|| SemanticError::UnboundTensor {
                     name: acc.tensor.as_str().to_string(),
                 })?;
-            let strides =
-                crate::compile::access_strides(&acc.indices, t.shape().extents(), |ix| {
-                    slot_of[ix]
-                });
+            let strides = access_strides(&acc.indices, t.shape().extents(), |ix| slot_of[ix]);
             Ok(Resolved::Load {
                 data: t.data(),
                 strides,
@@ -156,19 +155,124 @@ fn eval_resolved(expr: &Resolved<'_>, counters: &[usize]) -> Result<Rat, EvalErr
 /// assert_eq!(out.data(), &[Rat::from(210), Rat::from(430)]);
 /// ```
 pub fn evaluate(program: &TacoProgram, env: &TensorEnv) -> Result<Tensor, EvalError> {
-    // Thin compatibility wrapper over the compiled path: one-shot callers
-    // get the bytecode engine too; hot loops should hold an
-    // [`crate::compile::EvalCache`] so compilation amortises.
-    match crate::compile::compile(program, env) {
-        Ok(kernel) => kernel.evaluate(env),
-        Err(e) => Err(EvalError::Semantic(e)),
+    evaluate_kernel(&BatchKernel::new(program), program, env)
+}
+
+/// Runs `program`, already lowered into `kernel`, as one lane that binds
+/// every tensor slot to its own name.
+fn evaluate_kernel(
+    kernel: &BatchKernel,
+    program: &TacoProgram,
+    env: &TensorEnv,
+) -> Result<Tensor, EvalError> {
+    if !kernel.const_slots().is_empty() {
+        // An uninstantiated `Const` has no lane value; the interpreter's
+        // analysis pass reports the first error in RHS order.
+        let err = analyze(program, env).expect_err("a `Const` placeholder never analyses");
+        return Err(EvalError::Semantic(err));
+    }
+    let lane = Lane {
+        tensors: kernel.tensor_slots().to_vec(),
+        constants: Vec::new(),
+    };
+    kernel
+        .evaluate_lanes(std::slice::from_ref(&lane), env)
+        .pop()
+        .expect("one result per lane")
+}
+
+/// Cache hit/miss counters, for observability in benches and logs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EvalCacheStats {
+    /// Lookups answered from the cache.
+    pub hits: u64,
+    /// Lookups that lowered the program.
+    pub misses: u64,
+}
+
+/// Entry bound; a full cache is cleared wholesale. Serving workers keep
+/// one cache for their lifetime, and an unbounded map would grow with
+/// every distinct candidate they verify.
+const CACHE_CAPACITY: usize = 4096;
+
+/// A thread-safe memo of lowered [`BatchKernel`]s keyed by program.
+///
+/// A kernel depends on no shape, so one entry serves the program at every
+/// environment: the verifier's random trials at several sizes, the
+/// exhaustive sweep, and later requests on a long-lived serving worker.
+///
+/// ```
+/// use gtl_taco::{parse_program, EvalCache, TensorEnv};
+/// use gtl_tensor::{Rat, Shape, Tensor};
+///
+/// let cache = EvalCache::default();
+/// let p = parse_program("a = b(i) * c(i)").unwrap();
+/// let mut env = TensorEnv::new();
+/// env.insert("b".into(), Tensor::from_ints(Shape::new(vec![2]), &[1, 2]));
+/// env.insert("c".into(), Tensor::from_ints(Shape::new(vec![2]), &[3, 4]));
+/// // The first evaluation lowers the program, the second reuses it.
+/// assert_eq!(*cache.evaluate(&p, &env).unwrap().as_scalar(), Rat::from(11));
+/// cache.evaluate(&p, &env).unwrap();
+/// assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+/// ```
+#[derive(Debug, Default)]
+pub struct EvalCache {
+    kernels: Mutex<HashMap<TacoProgram, Arc<BatchKernel>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl EvalCache {
+    /// Creates an empty cache.
+    pub fn new() -> EvalCache {
+        EvalCache::default()
+    }
+
+    /// Evaluates `program` against `env` on its cached kernel, lowering
+    /// and caching it on first sight.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the errors of [`evaluate`] on the same inputs.
+    pub fn evaluate(&self, program: &TacoProgram, env: &TensorEnv) -> Result<Tensor, EvalError> {
+        let cached = self
+            .kernels
+            .lock()
+            .expect("eval cache poisoned")
+            .get(program)
+            .cloned();
+        let kernel = match cached {
+            Some(kernel) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                kernel
+            }
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                let kernel = Arc::new(BatchKernel::new(program));
+                let mut kernels = self.kernels.lock().expect("eval cache poisoned");
+                if kernels.len() >= CACHE_CAPACITY {
+                    kernels.clear();
+                }
+                kernels.insert(program.clone(), kernel.clone());
+                kernel
+            }
+        };
+        evaluate_kernel(&kernel, program, env)
+    }
+
+    /// A snapshot of the hit/miss counters.
+    pub fn stats(&self) -> EvalCacheStats {
+        EvalCacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
     }
 }
 
 /// Evaluates `program` with the reference tree-walking interpreter.
 ///
-/// This is the executable specification the compiled path is tested
-/// against; production paths use [`evaluate`] or the eval cache.
+/// This is the executable specification the production engine is tested
+/// against; production paths use [`evaluate`] or an [`EvalCache`].
 ///
 /// # Errors
 ///
@@ -379,6 +483,87 @@ mod tests {
         ]);
         let out = evaluate(&p, &e).unwrap();
         assert_eq!(out.data(), &[Rat::from(9), Rat::from(18)]);
+    }
+
+    #[test]
+    fn i64_overflow_falls_back_to_exact_rationals() {
+        // 3e18 * 3e18 overflows i64 but fits i128: the fast path must
+        // hand the cell to the exact engine mid-sweep.
+        let big = 3_000_000_000_000_000_000i64;
+        let p = parse_program("a = b(i) * c(i)").unwrap();
+        let e = env(&[
+            ("b", Shape::new(vec![2]), &[big, 2]),
+            ("c", Shape::new(vec![2]), &[big, 3]),
+        ]);
+        let expected = Rat::new(big as i128 * big as i128 + 6, 1);
+        assert_eq!(evaluate(&p, &e).unwrap().data(), &[expected]);
+        assert_eq!(evaluate(&p, &e), evaluate_interpreted(&p, &e));
+    }
+
+    #[test]
+    fn cache_hits_across_shapes_and_const_errors_match_analysis() {
+        let cache = EvalCache::new();
+        let p = parse_program("a(i) = b(i,j) * c(j)").unwrap();
+        let e2 = env(&[
+            ("b", Shape::new(vec![2, 2]), &[1, 0, 0, 1]),
+            ("c", Shape::new(vec![2]), &[3, 4]),
+        ]);
+        let e3 = env(&[
+            ("b", Shape::new(vec![3, 3]), &[1, 0, 0, 0, 2, 0, 0, 0, 3]),
+            ("c", Shape::new(vec![3]), &[1, 2, 3]),
+        ]);
+        assert_eq!(
+            cache.evaluate(&p, &e2).unwrap().data(),
+            &[Rat::from(3), Rat::from(4)]
+        );
+        // The kernel depends on no shape: a new shape is still a hit.
+        assert_eq!(cache.evaluate(&p, &e3), evaluate_interpreted(&p, &e3));
+        assert_eq!(cache.stats(), EvalCacheStats { hits: 1, misses: 1 });
+
+        // A `Const` placeholder fails with analysis' error, whichever
+        // error comes first in RHS order.
+        let templ = parse_program("a = b(i) * Const").unwrap();
+        let unbound = parse_program("a = z(i) * Const").unwrap();
+        for q in [&templ, &unbound] {
+            let want = Err(EvalError::Semantic(analyze(q, &e2).unwrap_err()));
+            assert_eq!(evaluate(q, &e2), want);
+            assert_eq!(cache.evaluate(q, &e2), want);
+            assert_eq!(cache.evaluate(q, &e2), want);
+        }
+        assert_eq!(
+            evaluate(&templ, &e2),
+            Err(EvalError::Semantic(SemanticError::RankMismatch {
+                name: "b".into(),
+                access_rank: 1,
+                bound_rank: 2,
+            }))
+        );
+        assert_eq!(
+            evaluate(&parse_program("a = c(i) * Const").unwrap(), &e2),
+            Err(EvalError::Semantic(SemanticError::Uninstantiated))
+        );
+    }
+
+    #[test]
+    fn cache_is_shareable_across_threads() {
+        let cache = EvalCache::new();
+        let p = parse_program("a = b(i) * c(i)").unwrap();
+        let e = env(&[
+            ("b", Shape::new(vec![4]), &[1, 2, 3, 4]),
+            ("c", Shape::new(vec![4]), &[4, 3, 2, 1]),
+        ]);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let (cache, p, e) = (&cache, &p, &e);
+                s.spawn(move || {
+                    for _ in 0..16 {
+                        assert_eq!(*cache.evaluate(p, e).unwrap().as_scalar(), Rat::from(20));
+                    }
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, 64);
     }
 
     #[test]

@@ -18,9 +18,9 @@ use crate::ast::BinOp;
 
 /// Operation selector of one instruction.
 ///
-/// Register operands follow the postorder depth-register convention of
-/// the scalar compiler: an expression at depth `d` leaves its value in
-/// register `d`, so `dst`/`a`/`b` are final at encode time.
+/// Register operands follow a postorder depth-register convention: an
+/// expression at depth `d` leaves its value in register `d`, so
+/// `dst`/`a`/`b` are final at encode time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Opcode {
     /// `regs[dst] = data[access a]` — read the current element of a

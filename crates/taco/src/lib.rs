@@ -9,16 +9,14 @@
 //!   the paper applies to raw LLM output ([`preprocess_candidate`]);
 //! - a pretty printer with minimal parenthesisation (`Display` impls);
 //! - [`semantics`] — einsum index classification and extent inference;
-//! - [`eval`] — dense evaluation over exact rationals;
-//! - [`compile`](fn@compile) — bytecode lowering + the shared [`EvalCache`] powering
-//!   the validation hot loop (compile once per program × shape signature,
-//!   evaluate many times, `i64` fast path with exact-rational fallback);
-//! - [`isa`] / [`batch`] — the batched native tier: a template is lowered
-//!   once into a fixed-width micro-ISA and evaluated for many
-//!   substitutions ([`Lane`]s) in a single pass over a shared loop nest;
-//! - [`absint`] — interval abstract interpretation over the micro-ISA:
-//!   overflow proofs that let the batch tier run unchecked integer
-//!   arithmetic when every intermediate provably fits `i64`;
+//! - [`eval`] — dense evaluation over exact rationals: [`evaluate`], the
+//!   shared [`EvalCache`] of lowered kernels, and the reference
+//!   interpreter [`evaluate_interpreted`];
+//! - [`isa`] / [`batch`] — the one production evaluator: a program or
+//!   template is lowered once into a fixed-width micro-ISA and evaluated
+//!   for many substitutions ([`Lane`]s) in a single pass over a shared
+//!   loop nest, with a checked `i64` fast path and exact-rational
+//!   fallback;
 //! - [`canon`] — algebraic canonicalization of candidates (commutative
 //!   sorting, constant folding, neutral-element elimination) and the
 //!   canonical fingerprint the search tier dedups on.
@@ -43,12 +41,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod absint;
 pub mod ast;
 pub mod batch;
 pub mod canon;
 pub mod codegen;
-pub mod compile;
 pub mod eval;
 pub mod isa;
 pub mod lexer;
@@ -56,16 +52,16 @@ pub mod parser;
 mod printer;
 pub mod semantics;
 
-pub use absint::{analyze_kernel, Interval, OverflowVerdict};
 pub use ast::{
     canonical_tensor_name, Access, BinOp, Expr, Ident, IndexVar, Operand, TacoProgram,
     CANONICAL_INDICES,
 };
-pub use batch::{BatchKernel, BatchStats, Lane};
+pub use batch::{BatchKernel, Lane};
 pub use canon::{canonical_fingerprint, canonical_key, canonicalize, canonicalize_expr};
 pub use codegen::{generate_c, GeneratedKernel};
-pub use compile::{compile, CompiledKernel, EvalCache, EvalCacheStats};
 pub use isa::{Encoder, Inst, IsaProgram, Opcode};
-pub use eval::{evaluate, evaluate_analyzed, evaluate_interpreted, EvalError};
+pub use eval::{
+    evaluate, evaluate_analyzed, evaluate_interpreted, EvalCache, EvalCacheStats, EvalError,
+};
 pub use parser::{parse_expr, parse_program, preprocess_candidate, ParseError};
 pub use semantics::{analyze, IndexAnalysis, SemanticError, TensorEnv};

@@ -1,8 +1,8 @@
-//! Differential property test for the batched native tier: evaluating
+//! Differential property test for the batched evaluator: evaluating
 //! many substitutions of one template through [`BatchKernel`] must be
 //! bit-identical — values *and* per-lane [`EvalError`] classification —
-//! to substituting each lane into the template and running the scalar
-//! [`evaluate`] path.
+//! to substituting each lane into the template and running the reference
+//! interpreter, [`evaluate_interpreted`].
 //!
 //! Lanes are drawn in the batch widths the validator actually uses
 //! (1, 2, 8 and 64), over adversarial value profiles: huge integers
@@ -10,18 +10,11 @@
 //! hit division by zero, and non-integer rationals that defeat the
 //! fast path at conversion. Lanes also bind wrong-rank and missing
 //! tensors, so semantic-error classification is compared too.
-//!
-//! Each round additionally pins the default path (which may take the
-//! overflow-proof gated *wrapping* sweeps) against
-//! [`BatchKernel::evaluate_lanes_checked`]: the huge-integer profile
-//! forces `Unsafe` verdicts, the small-integer profile `Safe` ones, and
-//! both must agree bit-for-bit with the checked sweeps.
 
 use std::collections::HashMap;
 
 use gtl_taco::{
-    evaluate, Access, BatchKernel, BatchStats, BinOp, EvalError, Expr, Lane, TacoProgram,
-    TensorEnv,
+    evaluate_interpreted, Access, BatchKernel, BinOp, EvalError, Expr, Lane, TacoProgram, TensorEnv,
 };
 use gtl_tensor::{Rat, Shape, TensorGen};
 use proptest::prelude::*;
@@ -186,7 +179,7 @@ fn derive_lanes(kernel: &BatchKernel, picks: &mut Picks, n: usize) -> Vec<Lane> 
         .collect()
 }
 
-/// Applies a lane to the template the way the scalar path would: rename
+/// Applies a lane to the template the way the validator does: rename
 /// every access by slot, replace every `ConstSym` by its bound value.
 fn concretize(kernel: &BatchKernel, template: &TacoProgram, lane: &Lane) -> TacoProgram {
     let names: HashMap<&str, &str> = kernel
@@ -224,34 +217,24 @@ fn concretize(kernel: &BatchKernel, template: &TacoProgram, lane: &Lane) -> Taco
 }
 
 /// One full differential round: batch-evaluate the lanes, then check
-/// every lane against the scalar path on the substituted program.
+/// every lane against the interpreter on the substituted program. Under
+/// the huge-integer profile this pins every overflow demotion to the
+/// interpreter's value or error.
 fn assert_batch_matches_scalar(
     template: &TacoProgram,
     env: &TensorEnv,
     lanes: &[Lane],
 ) -> Result<(), TestCaseError> {
     let kernel = BatchKernel::new(template);
-    let mut stats = BatchStats::default();
-    let got = kernel.evaluate_lanes_with_stats(lanes, env, &mut stats);
-    // The overflow-proof gated wrapping path must be bit-identical to
-    // the always-checked sweeps — values and error classification —
-    // whatever the verdict decided per shape group.
-    let checked = kernel.evaluate_lanes_checked(lanes, env);
-    prop_assert_eq!(
-        &got,
-        &checked,
-        "unchecked fast path diverged from checked sweeps for {} ({:?})",
-        template,
-        stats
-    );
+    let got = kernel.evaluate_lanes(lanes, env);
     prop_assert_eq!(got.len(), lanes.len());
     for (lane, got) in lanes.iter().zip(&got) {
         let concrete = concretize(&kernel, template, lane);
-        let want = evaluate(&concrete, env);
+        let want = evaluate_interpreted(&concrete, env);
         prop_assert_eq!(
             got,
             &want,
-            "lane {:?} of {} diverged from scalar ({})",
+            "lane {:?} of {} diverged from the interpreter ({})",
             lane,
             template,
             concrete
@@ -261,8 +244,8 @@ fn assert_batch_matches_scalar(
 }
 
 proptest! {
-    /// Batch evaluation is bit-identical to per-substitution scalar
-    /// evaluation across lane widths, shape groups and value profiles.
+    /// Batch evaluation is bit-identical to interpreting each
+    /// substitution across lane widths, shape groups and value profiles.
     #[test]
     fn batch_agrees_with_scalar_per_lane(
         template in arb_template(),
@@ -314,7 +297,7 @@ fn wide_mixed_batch_matches_scalar() {
     let got = kernel.evaluate_lanes(&lanes, &env);
     let mut errors = 0;
     for (lane, got) in lanes.iter().zip(&got) {
-        let want = evaluate(&concretize(&kernel, &template, lane), &env);
+        let want = evaluate_interpreted(&concretize(&kernel, &template, lane), &env);
         assert_eq!(got, &want, "lane {lane:?}");
         if matches!(got, Err(EvalError::Semantic(_))) {
             errors += 1;

@@ -12,8 +12,8 @@ use std::collections::BTreeMap;
 
 use gtl_cfront::{parse_c, run_kernel, ArgValue};
 use gtl_taco::{
-    analyze, compile, evaluate, evaluate_interpreted, generate_c, parse_program, Access, BinOp,
-    EvalCache, EvalError, Expr, TacoProgram, TensorEnv,
+    analyze, evaluate, evaluate_interpreted, generate_c, parse_program, Access, BinOp, EvalCache,
+    EvalError, Expr, TacoProgram, TensorEnv,
 };
 use gtl_tensor::{Rat, RatError, Shape, TensorGen};
 use proptest::prelude::*;
@@ -32,8 +32,8 @@ fn extent_of(ix: &str) -> usize {
 
 fn arb_rhs_access() -> impl Strategy<Value = Access> {
     let idx = prop::sample::select(vec!["i", "j", "k", "l"]);
-    // Rank 0–3: rank-3 accesses reach the compiled engine's 3-deep
-    // summation nests and the unrolled 3-load product path (MTTKRP).
+    // Rank 0–3: rank-3 accesses reach the evaluator's 3-deep summation
+    // nests and the unrolled 3-load product path (MTTKRP).
     (
         prop::sample::select(vec!["b", "c", "d", "e"]),
         prop::collection::vec(idx, 0..4),
@@ -104,9 +104,9 @@ fn build_env(p: &TacoProgram, seed: u64) -> Option<TensorEnv> {
     Some(env)
 }
 
-/// Adversarial value profiles for the compiled-vs-interpreted
+/// Adversarial value profiles for the evaluator-vs-interpreter
 /// differential: each stresses a different arithmetic regime of the
-/// compiled kernel.
+/// production evaluator.
 #[derive(Debug, Clone, Copy)]
 enum ValueProfile {
     /// Small integers: the pure `i64` fast path.
@@ -200,11 +200,12 @@ proptest! {
         prop_assert_eq!(a.tensor_params, b.tensor_params);
     }
 
-    /// The compiled kernel agrees with the reference interpreter on every
-    /// random program × shape × adversarial environment — including the
-    /// exact `EvalError` classification (semantic errors, division by
+    /// The production evaluator agrees with the reference interpreter on
+    /// every random program × shape × adversarial environment — including
+    /// the exact `EvalError` classification (semantic errors, division by
     /// zero, `i128` overflow) and across the `i64`-fast-path/rational
-    /// fallback boundary.
+    /// fallback boundary — through `evaluate` and through an `EvalCache`
+    /// on both a miss and a hit.
     #[test]
     fn compiled_agrees_with_interpreter(
         p in arb_program(),
@@ -213,40 +214,40 @@ proptest! {
     ) {
         let Some(env) = build_env_with(&p, seed, profile) else { return Ok(()); };
         let interpreted = evaluate_interpreted(&p, &env);
-        let compiled = match compile(&p, &env) {
-            Ok(kernel) => kernel.evaluate(&env),
-            Err(e) => Err(EvalError::Semantic(e)),
-        };
         prop_assert_eq!(
-            &compiled, &interpreted,
-            "compiled kernel diverges from interpreter for {} under {:?}",
+            &evaluate(&p, &env), &interpreted,
+            "evaluate diverges from interpreter for {} under {:?}",
             p, profile
         );
-        // The cached route (and the `evaluate` wrapper) must be the same
-        // function, hit or miss.
         let cache = EvalCache::default();
-        prop_assert_eq!(&cache.evaluate(&p, &env), &interpreted);
-        prop_assert_eq!(&cache.evaluate(&p, &env), &interpreted); // cache hit
-        prop_assert_eq!(&evaluate(&p, &env), &interpreted);
+        prop_assert_eq!(&cache.evaluate(&p, &env), &interpreted); // miss
+        prop_assert_eq!(&cache.evaluate(&p, &env), &interpreted); // hit
+        prop_assert_eq!(cache.stats().hits, 1);
     }
 }
 
 /// Fixed adversarial regressions, independent of the random stream: the
-/// three error-classification boundaries the compiled kernel must place
-/// exactly where the interpreter does.
+/// three error-classification boundaries the production evaluator must
+/// place exactly where the interpreter does, checked through `evaluate`
+/// and through an `EvalCache` miss and hit.
 #[test]
 fn compiled_error_classification_matches_interpreter() {
+    let cache = EvalCache::default();
+    let all_routes = |p: &TacoProgram, env: &TensorEnv| {
+        let got = evaluate(p, env);
+        assert_eq!(cache.evaluate(p, env), got, "cache miss diverges for {p}");
+        assert_eq!(cache.evaluate(p, env), got, "cache hit diverges for {p}");
+        got
+    };
+
     // Division by zero mid-sweep.
     let p = parse_program("a(i) = b(i) / c(i)").unwrap();
     let mut env = TensorEnv::new();
     env.insert("b".into(), vec_tensor(&[1, 2]));
     env.insert("c".into(), vec_tensor(&[1, 0]));
-    let compiled = compile(&p, &env).unwrap().evaluate(&env);
-    assert_eq!(compiled, evaluate_interpreted(&p, &env));
-    assert_eq!(
-        compiled,
-        Err(EvalError::Arithmetic(RatError::DivisionByZero))
-    );
+    let got = all_routes(&p, &env);
+    assert_eq!(got, evaluate_interpreted(&p, &env));
+    assert_eq!(got, Err(EvalError::Arithmetic(RatError::DivisionByZero)));
 
     // i64 overflow → exact fallback (same value), then i128 overflow →
     // same error. Extent-2 summation keeps sum_iters > 1 so the i64
@@ -255,14 +256,15 @@ fn compiled_error_classification_matches_interpreter() {
     let p2 = parse_program("a = b(i) * b(i)").unwrap();
     let mut env2 = TensorEnv::new();
     env2.insert("b".into(), vec_tensor(&[big, big]));
-    let v = compile(&p2, &env2).unwrap().evaluate(&env2).unwrap();
+    let v = all_routes(&p2, &env2).unwrap();
     assert_eq!(v, evaluate_interpreted(&p2, &env2).unwrap());
     assert_eq!(*v.as_scalar(), Rat::new(2 * (big as i128 * big as i128), 1));
 
     let p3 = parse_program("a = b(i) * b(i) * b(i) * b(i)").unwrap();
-    let compiled3 = compile(&p3, &env2).unwrap().evaluate(&env2);
-    assert_eq!(compiled3, evaluate_interpreted(&p3, &env2));
-    assert_eq!(compiled3, Err(EvalError::Arithmetic(RatError::Overflow)));
+    let got3 = all_routes(&p3, &env2);
+    assert_eq!(got3, evaluate_interpreted(&p3, &env2));
+    assert_eq!(got3, Err(EvalError::Arithmetic(RatError::Overflow)));
+    assert_eq!(cache.stats().hits, 3);
 }
 
 fn vec_tensor(data: &[i64]) -> gtl_tensor::Tensor {

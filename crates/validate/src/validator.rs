@@ -75,34 +75,6 @@ pub fn generate_examples(
     Ok(out)
 }
 
-/// Whether a concrete candidate program reproduces every example.
-/// Evaluation errors (division by zero on an example, extent mismatches
-/// between bound arguments) count as failure, as the paper's validator
-/// simply discards such substitutions.
-///
-/// Convenience wrapper over [`passes_examples_cached`] with a throwaway
-/// cache; since all examples share the task's default sizes, the
-/// candidate still compiles only once.
-pub fn passes_examples(candidate: &TacoProgram, examples: &[IoExample]) -> bool {
-    passes_examples_cached(candidate, examples, &EvalCache::default())
-}
-
-/// [`passes_examples`] through a shared [`EvalCache`]: the candidate is
-/// compiled at most once per shape signature across every example and
-/// every caller holding the same cache (the validation hot loop).
-pub fn passes_examples_cached(
-    candidate: &TacoProgram,
-    examples: &[IoExample],
-    cache: &EvalCache,
-) -> bool {
-    examples.iter().all(|ex| {
-        matches!(
-            cache.evaluate(candidate, &ex.instance.env),
-            Ok(ref out) if *out == ex.output
-        )
-    })
-}
-
 /// Statistics from one validation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ValidationStats {
@@ -119,9 +91,6 @@ pub struct ValidationStats {
     /// Candidate templates skipped because an algebraically equivalent
     /// template was already validated (equal canonical fingerprint).
     pub pruned_equivalent: u64,
-    /// Shape groups of batched evaluation that ran the unchecked
-    /// integer fast path under an interval overflow proof.
-    pub unchecked_kernels: u64,
 }
 
 impl ValidationStats {
@@ -131,7 +100,6 @@ impl ValidationStats {
         self.io_passes += other.io_passes;
         self.pruned_infeasible += other.pruned_infeasible;
         self.pruned_equivalent += other.pruned_equivalent;
-        self.unchecked_kernels += other.unchecked_kernels;
     }
 }
 
@@ -144,7 +112,6 @@ pub struct SharedValidationStats {
     io_passes: std::sync::atomic::AtomicU64,
     pruned_infeasible: std::sync::atomic::AtomicU64,
     pruned_equivalent: std::sync::atomic::AtomicU64,
-    unchecked_kernels: std::sync::atomic::AtomicU64,
 }
 
 impl SharedValidationStats {
@@ -158,8 +125,6 @@ impl SharedValidationStats {
             .fetch_add(stats.pruned_infeasible, Ordering::Relaxed);
         self.pruned_equivalent
             .fetch_add(stats.pruned_equivalent, Ordering::Relaxed);
-        self.unchecked_kernels
-            .fetch_add(stats.unchecked_kernels, Ordering::Relaxed);
     }
 
     /// A consistent copy of the accumulated counters.
@@ -170,7 +135,6 @@ impl SharedValidationStats {
             io_passes: self.io_passes.load(Ordering::Relaxed),
             pruned_infeasible: self.pruned_infeasible.load(Ordering::Relaxed),
             pruned_equivalent: self.pruned_equivalent.load(Ordering::Relaxed),
-            unchecked_kernels: self.unchecked_kernels.load(Ordering::Relaxed),
         }
     }
 }
@@ -191,24 +155,26 @@ pub fn validate_template(
     validate_template_cached(template, task, examples, verify, stats, &EvalCache::default())
 }
 
-/// [`validate_template`] through a shared [`EvalCache`]. Per-worker
-/// checkers hold one cache across every template they check, so repeated
-/// substitutions and verifier re-evaluations never recompile.
+/// [`validate_template`] for a checker that holds one [`EvalCache`]
+/// across every template it checks. The I/O filter itself does not read
+/// the cache: the template is lowered once per call, and its concrete
+/// substitutions are never evaluated one by one. The cache stays in the
+/// signature for callers that share it with their verifier.
 ///
 /// Substitutions are drained in 64-lane batches (`LANE_BATCH`): the template
 /// is lowered once into a [`BatchKernel`] and each I/O example filters a
 /// whole batch of [`Lane`]s in a single pass over a shared loop nest,
 /// instead of evaluating one substituted program at a time. Survivors are
 /// handed to `verify` in enumeration order, so the returned program (and
-/// which substitutions the verifier sees) is identical to the scalar
-/// loop's.
+/// which substitutions the verifier sees) is the same as evaluating the
+/// substitutions one at a time would give.
 pub fn validate_template_cached(
     template: &TacoProgram,
     task: &LiftTask,
     examples: &[IoExample],
     mut verify: impl FnMut(&TacoProgram, &Substitution) -> bool,
     stats: &mut ValidationStats,
-    cache: &EvalCache,
+    _cache: &EvalCache,
 ) -> Option<TacoProgram> {
     let output_name = task.output_name().to_string();
     let subs = enumerate_substitutions(template, task);
@@ -218,30 +184,19 @@ pub fn validate_template_cached(
     let kernel = BatchKernel::new(template);
     for chunk in subs.chunks(LANE_BATCH) {
         stats.substitutions_tried += chunk.len() as u64;
-        let lanes: Vec<Option<Lane>> = chunk
+        let lanes: Vec<Lane> = chunk
             .iter()
             .map(|sub| lane_for(&kernel, sub, &output_name))
             .collect();
-        let mut survives = vec![false; chunk.len()];
         // Example-major filtering: each example prunes the batch, so later
         // examples only evaluate lanes that still have a chance.
-        let mut alive: Vec<usize> = lanes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, l)| l.is_some().then_some(i))
-            .collect();
+        let mut alive: Vec<usize> = (0..lanes.len()).collect();
         for ex in examples {
             if alive.is_empty() {
                 break;
             }
-            let batch: Vec<Lane> = alive
-                .iter()
-                .map(|&i| lanes[i].clone().expect("alive lanes exist"))
-                .collect();
-            let mut batch_stats = gtl_taco::BatchStats::default();
-            let results =
-                kernel.evaluate_lanes_with_stats(&batch, &ex.instance.env, &mut batch_stats);
-            stats.unchecked_kernels += batch_stats.unchecked_groups;
+            let batch: Vec<Lane> = alive.iter().map(|&i| lanes[i].clone()).collect();
+            let results = kernel.evaluate_lanes(&batch, &ex.instance.env);
             alive = alive
                 .into_iter()
                 .zip(results)
@@ -250,20 +205,6 @@ pub fn validate_template_cached(
                 .collect();
         }
         for i in alive {
-            survives[i] = true;
-        }
-        // Substitutions a lane can't represent (e.g. an unbound constant
-        // slot) fall back to the scalar compiled path.
-        for (i, l) in lanes.iter().enumerate() {
-            if l.is_none() {
-                let concrete = apply_substitution(template, &chunk[i], &output_name);
-                survives[i] = passes_examples_cached(&concrete, examples, cache);
-            }
-        }
-        for (i, &ok) in survives.iter().enumerate() {
-            if !ok {
-                continue;
-            }
             stats.io_passes += 1;
             let concrete = apply_substitution(template, &chunk[i], &output_name);
             if verify(&concrete, &chunk[i]) {
@@ -277,9 +218,13 @@ pub fn validate_template_cached(
 /// Builds the [`Lane`] realising one substitution: tensor slots resolve
 /// like [`apply_substitution`] (the LHS symbol `a` reused on the RHS binds
 /// the output; unbound symbols keep their name and fail analysis, exactly
-/// as the scalar path fails them). Returns `None` when a constant slot has
-/// no binding — such substitutions cannot be expressed as a lane.
-fn lane_for(kernel: &BatchKernel, sub: &Substitution, output: &str) -> Option<Lane> {
+/// as the substituted program fails it).
+///
+/// # Panics
+///
+/// Panics if a constant slot has no binding; [`enumerate_substitutions`]
+/// binds every one.
+fn lane_for(kernel: &BatchKernel, sub: &Substitution, output: &str) -> Lane {
     let tensors = kernel
         .tensor_slots()
         .iter()
@@ -294,9 +239,9 @@ fn lane_for(kernel: &BatchKernel, sub: &Substitution, output: &str) -> Option<La
     let constants = kernel
         .const_slots()
         .iter()
-        .map(|id| sub.constants.get(id).copied())
-        .collect::<Option<Vec<i64>>>()?;
-    Some(Lane { tensors, constants })
+        .map(|id| sub.constants[id])
+        .collect();
+    Lane { tensors, constants }
 }
 
 #[cfg(test)]
@@ -364,7 +309,6 @@ mod tests {
                             io_passes: 1,
                             pruned_infeasible: 1,
                             pruned_equivalent: 1,
-                            unchecked_kernels: 1,
                         });
                     }
                 });
@@ -377,7 +321,6 @@ mod tests {
                 io_passes: 400,
                 pruned_infeasible: 400,
                 pruned_equivalent: 400,
-                unchecked_kernels: 400,
             }
         );
     }

@@ -72,10 +72,9 @@ pub fn verify_exhaustive(
     verify_exhaustive_cached(task, candidate, cfg, &EvalCache::default())
 }
 
-/// [`verify_exhaustive`] through a shared [`EvalCache`]. Every enumerated
-/// point binds the same shapes, so the candidate compiles exactly once
-/// for the whole sweep — this is the single biggest win of the compiled
-/// evaluator (the point count is `|values|^elements`).
+/// [`verify_exhaustive`] through a shared [`EvalCache`]: the candidate is
+/// lowered once for the whole sweep (the point count is
+/// `|values|^elements`), and each point runs it as one lane.
 pub fn verify_exhaustive_cached(
     task: &LiftTask,
     candidate: &TacoProgram,

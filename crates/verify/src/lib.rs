@@ -146,10 +146,10 @@ pub fn verify_candidate(
     verify_candidate_cached(task, candidate, cfg, &EvalCache::default())
 }
 
-/// [`verify_candidate`] through a shared [`EvalCache`]: all
-/// `trials_per_shape` evaluations of one shape round run a single
-/// compiled kernel, and callers sharing the cache with the validator
-/// reuse compilations across the validate→verify loop.
+/// [`verify_candidate`] through a shared [`EvalCache`]: the candidate is
+/// lowered once and every trial of every shape round runs that one
+/// kernel, and a checker holding the cache across candidates lowers a
+/// recurring candidate only once.
 pub fn verify_candidate_cached(
     task: &LiftTask,
     candidate: &TacoProgram,
