@@ -44,13 +44,15 @@ impl From<std::io::Error> for ClientError {
 }
 
 impl LiftClient {
-    /// Connects to a running `lift_server`.
+    /// Connects to a running `lift_server` (or `lift_router`), with
+    /// `TCP_NODELAY` set like every protocol socket.
     ///
     /// # Errors
     ///
     /// Any connection error.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<LiftClient, ClientError> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(LiftClient { writer, reader })
     }

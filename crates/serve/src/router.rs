@@ -25,7 +25,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -39,7 +39,7 @@ use crate::protocol::{
     ServerStats, WireError,
 };
 use crate::server::{resolve_query, EventSink, LineAction};
-use crate::transport::LineHandler;
+use crate::transport::{self, LineHandler};
 
 /// A consistent-hash ring over replica addresses. Each replica owns
 /// `vnodes` points on a `u64` ring; a key is served by the replica
@@ -629,13 +629,7 @@ impl RouterHandle {
 
     /// Connects to a replica within the configured timeout.
     fn connect(&self, addr: &str) -> std::io::Result<TcpStream> {
-        let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("`{addr}` resolves to no address"),
-            )
-        })?;
-        TcpStream::connect_timeout(&resolved, self.state.config.connect_timeout)
+        transport::connect(addr, self.state.config.connect_timeout)
     }
 
     /// Fire-and-forget one line to a replica (cancel, shutdown).

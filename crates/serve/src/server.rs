@@ -19,7 +19,6 @@
 //! engine's [`CancelFlag`] machinery end to end.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -528,16 +527,7 @@ fn push_share(peer: &str, record: &LiftRecord) -> std::io::Result<()> {
     use std::io::{BufRead, BufReader, Write};
 
     let timeout = Duration::from_secs(10);
-    let addr = peer
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("`{peer}` resolves to no address"),
-            )
-        })?;
-    let mut stream = std::net::TcpStream::connect_timeout(&addr, timeout)?;
+    let mut stream = crate::transport::connect(peer, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     let request = Request::ShareLift {

@@ -6,9 +6,15 @@
 //! forwards it to a replica. [`LineHandler`] captures that difference;
 //! [`serve_stdio`] and [`serve_listener`] own the loops, so the
 //! transports are written (and tested) once.
+//!
+//! A cache hit answers in tens of microseconds, so the transport must
+//! not add waits of its own: every event leaves in one write, every
+//! protocol socket runs with `TCP_NODELAY` (see [`connect`]), and the
+//! listener blocks in `accept()` instead of polling.
 
-use std::io::{BufRead, Write};
-use std::net::{TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::io::{BufRead, ErrorKind, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -52,7 +58,7 @@ pub fn serve_stdio<H: LineHandler>(handler: &H) -> LineAction {
     let stdout = Arc::new(Mutex::new(std::io::stdout()));
     let sink: EventSink = Arc::new(move |event: &Event| {
         let mut out = stdout.lock().expect("stdout poisoned");
-        let _ = writeln!(out, "{}", event.to_line());
+        let _ = out.write_all(event_line(event).as_bytes());
         let _ = out.flush();
     });
     let stdin = std::io::stdin();
@@ -65,56 +71,112 @@ pub fn serve_stdio<H: LineHandler>(handler: &H) -> LineAction {
     LineAction::Continue
 }
 
+/// Opens a protocol connection: resolves `addr`, connects within
+/// `timeout` and sets `TCP_NODELAY`, so no event line waits on Nagle's
+/// algorithm for the peer's delayed ACK.
+///
+/// # Errors
+///
+/// Resolution, connect or socket-option errors.
+pub fn connect(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
+    let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
+        std::io::Error::new(
+            ErrorKind::InvalidInput,
+            format!("`{addr}` resolves to no address"),
+        )
+    })?;
+    let stream = TcpStream::connect_timeout(&resolved, timeout)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 /// Accepts TCP clients on an already-bound listener (callers bind —
 /// tests use port 0) until one of them requests shutdown, creating one
-/// handler per connection via `new_handler`. Sibling connections are
-/// unblocked by shutting their sockets down, so a `shutdown` request
-/// stops the whole process promptly even while other clients sit idle
-/// in blocking reads. `label` prefixes connection log lines.
+/// handler per connection via `new_handler`. The accept blocks; the
+/// connection that carries `shutdown` wakes it by connecting to the
+/// listener itself. A registry of live connections lets the shutdown
+/// unblock siblings idle in blocking reads by shutting their sockets
+/// down, so it stops the whole process promptly. Each connection leaves
+/// the registry when it ends, so it never holds a closed client's
+/// socket. `label` prefixes connection log lines.
 pub fn serve_listener<H, F>(listener: TcpListener, label: &str, new_handler: F)
 where
     H: LineHandler + Send,
     F: Fn() -> H + Sync,
 {
-    listener
-        .set_nonblocking(true)
-        .expect("set_nonblocking on listener");
+    let wake_addr = loopback_if_unspecified(listener.local_addr().expect("listener address"));
     let stop = AtomicBool::new(false);
-    let connections: Mutex<Vec<TcpStream>> = Mutex::new(Vec::new());
+    let connections: Mutex<HashMap<u64, TcpStream>> = Mutex::new(HashMap::new());
     std::thread::scope(|scope| {
-        loop {
+        for id in 0u64.. {
+            let (stream, peer) = match listener.accept() {
+                Ok(accepted) => accepted,
+                Err(e) => match e.kind() {
+                    // A signal landed, or the peer gave up before the accept.
+                    ErrorKind::Interrupted | ErrorKind::ConnectionAborted => continue,
+                    _ => {
+                        eprintln!("{label}: accept failed: {e}");
+                        break;
+                    }
+                },
+            };
             if stop.load(Ordering::Acquire) {
                 break;
             }
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    eprintln!("{label}: client {peer} connected");
-                    if let Ok(clone) = stream.try_clone() {
-                        connections.lock().expect("connections poisoned").push(clone);
-                    }
-                    let handler = new_handler();
-                    let stop = &stop;
-                    scope.spawn(move || {
-                        if serve_connection(&handler, stream) == LineAction::Shutdown {
-                            stop.store(true, Ordering::Release);
-                        }
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                Err(e) => {
-                    eprintln!("{label}: accept failed: {e}");
-                    break;
-                }
+            eprintln!("{label}: client {peer} connected");
+            let _ = stream.set_nodelay(true);
+            if let Ok(clone) = stream.try_clone() {
+                connections
+                    .lock()
+                    .expect("connections poisoned")
+                    .insert(id, clone);
             }
+            let handler = new_handler();
+            let (stop, connections) = (&stop, &connections);
+            scope.spawn(move || {
+                let action = serve_connection(&handler, stream);
+                connections
+                    .lock()
+                    .expect("connections poisoned")
+                    .remove(&id);
+                if action == LineAction::Shutdown {
+                    stop.store(true, Ordering::Release);
+                    if let Err(e) = connect(&wake_addr.to_string(), WAKE_TIMEOUT) {
+                        eprintln!("{label}: could not wake the listener at {wake_addr}: {e}");
+                    }
+                }
+            });
         }
         // Unblock every connection thread parked in a read; their loops
         // then exit and the scope join completes.
-        for conn in connections.lock().expect("connections poisoned").iter() {
+        for conn in connections.lock().expect("connections poisoned").values() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
     });
+}
+
+/// How long the shutdown wake-up may take to reach the listener.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// The address a local client reaches a listener at: a listener bound
+/// to `0.0.0.0` or `::` is reached over loopback.
+fn loopback_if_unspecified(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        let loopback: IpAddr = match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        };
+        addr.set_ip(loopback);
+    }
+    addr
+}
+
+/// An event as one wire line, newline included, so each event leaves in
+/// a single write.
+fn event_line(event: &Event) -> String {
+    let mut line = event.to_line();
+    line.push('\n');
+    line
 }
 
 /// Serves one TCP client until disconnect or a `shutdown` request.
@@ -122,12 +184,11 @@ fn serve_connection<H: LineHandler>(handler: &H, stream: TcpStream) -> LineActio
     let Ok(writer) = stream.try_clone() else {
         return LineAction::Continue;
     };
-    let writer = Arc::new(Mutex::new(writer));
+    let writer = Mutex::new(writer);
     let sink: EventSink = Arc::new(move |event: &Event| {
-        let mut out = writer.lock().expect("writer poisoned");
         // A disconnected peer just drops its events.
-        let _ = writeln!(out, "{}", event.to_line());
-        let _ = out.flush();
+        let mut out = writer.lock().expect("writer poisoned");
+        let _ = out.write_all(event_line(event).as_bytes());
     });
     let reader = std::io::BufReader::new(stream);
     for line in reader.lines() {
